@@ -1,6 +1,7 @@
 #include "src/core/stable_storage.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/core/storage_journal.h"
 
@@ -15,6 +16,7 @@ StableStorage::StableStorage(StableStorage&& other) noexcept
       restart_number_(other.restart_number_),
       messages_stored_(other.messages_stored_),
       straggler_appends_(other.straggler_appends_),
+      total_bytes_(std::exchange(other.total_bytes_, 0)),
       peak_bytes_(other.peak_bytes_),
       backend_(other.backend_),
       clock_(std::move(other.clock_)),
@@ -37,6 +39,7 @@ StableStorage& StableStorage::operator=(StableStorage&& other) noexcept {
     restart_number_ = other.restart_number_;
     messages_stored_ = other.messages_stored_;
     straggler_appends_ = other.straggler_appends_;
+    total_bytes_ = std::exchange(other.total_bytes_, 0);
     peak_bytes_ = other.peak_bytes_;
     backend_ = other.backend_;
     clock_ = std::move(other.clock_);
@@ -69,6 +72,33 @@ Status StableStorage::Flush() {
 
 StableStorage::ProcessLog& StableStorage::Ensure(const ProcessId& pid) { return logs_[pid]; }
 
+void StableStorage::SetBytes(ProcessLog& log, size_t log_bytes, size_t checkpoint_bytes) {
+  total_bytes_ -= BytesOf(log);
+  log.info.log_bytes = log_bytes;
+  log.info.checkpoint_bytes = checkpoint_bytes;
+  total_bytes_ += BytesOf(log);
+}
+
+void StableStorage::InstallLog(const ProcessId& pid, ProcessLog log) {
+  ProcessLog& slot = logs_[pid];
+  total_bytes_ -= BytesOf(slot);
+  total_bytes_ += BytesOf(log);
+  slot = std::move(log);
+}
+
+void StableStorage::EraseLog(const ProcessId& pid) {
+  auto it = logs_.find(pid);
+  if (it != logs_.end()) {
+    total_bytes_ -= BytesOf(it->second);
+    logs_.erase(it);
+  }
+}
+
+void StableStorage::ClearLogs() {
+  logs_.clear();
+  total_bytes_ = 0;
+}
+
 void StableStorage::RecordCreation(const ProcessId& pid, const std::string& program,
                                    std::vector<Link> initial_links, NodeId home_node,
                                    bool recoverable) {
@@ -95,8 +125,7 @@ void StableStorage::RecordDestruction(const ProcessId& pid) {
   it->second.read_order.clear();
   it->second.checkpoint.clear();
   it->second.info.has_checkpoint = false;
-  it->second.info.log_bytes = 0;
-  it->second.info.checkpoint_bytes = 0;
+  SetBytes(it->second, 0, 0);
 }
 
 void StableStorage::SetHomeNode(const ProcessId& pid, NodeId node) {
@@ -142,7 +171,7 @@ void StableStorage::AppendMessage(const ProcessId& pid, const MessageId& id, Buf
   entry.id = id;
   entry.arrival = next_arrival_++;
   entry.packet = std::move(packet);
-  log.info.log_bytes += entry.packet.size();
+  SetBytes(log, log.info.log_bytes + entry.packet.size(), log.info.checkpoint_bytes);
   log.by_id.emplace(entry.id, log.entries.size());
   log.entries.push_back(std::move(entry));
   log.info.log_entries = log.entries.size();
@@ -196,7 +225,6 @@ void StableStorage::StoreCheckpoint(const ProcessId& pid, Bytes state, uint64_t 
   log.checkpoint = std::move(state);
   log.info.has_checkpoint = true;
   log.info.checkpoint_reads = reads_done;
-  log.info.checkpoint_bytes = log.checkpoint.size();
   // Discard subsumed messages.  Reads race with the checkpoint message in
   // transit, so drop only entries whose read position (read_seq is global
   // per process) falls within the checkpoint's read count.
@@ -205,10 +233,11 @@ void StableStorage::StoreCheckpoint(const ProcessId& pid, Bytes state, uint64_t 
   // Compaction moved the surviving entries; re-point the replay index at
   // their new positions (same O(n) pass the erase already paid for).
   RebuildReplayIndex(log);
-  log.info.log_bytes = 0;
+  size_t retained = 0;
   for (const LogEntry& entry : log.entries) {
-    log.info.log_bytes += entry.packet.size();
+    retained += entry.packet.size();
   }
+  SetBytes(log, retained, log.checkpoint.size());
   log.info.log_entries = log.entries.size();
   RefreshAccounting();
   if (backend_ != nullptr) {
@@ -262,7 +291,7 @@ Status StableStorage::ImportEntry(const Bytes& blob, NodeId node) {
   // Any annexed stragglers are subsumed: the imported log is authoritative,
   // and duplicates of annex ids are filtered by its ever_logged set.
   annex_.erase(pid);
-  logs_[pid] = std::move(log);
+  InstallLog(pid, std::move(log));
   // Journal the post-remap image (install first, then encode from the
   // installed entry): a rebuilt recorder re-installs it verbatim.
   Journal(StorageJournal::EncodeImportProcess(*this, pid));
@@ -271,12 +300,11 @@ Status StableStorage::ImportEntry(const Bytes& blob, NodeId node) {
 }
 
 void StableStorage::DropEntry(const ProcessId& pid, NodeId moved_to) {
-  auto it = logs_.find(pid);
-  if (it == logs_.end()) {
+  if (!logs_.contains(pid)) {
     return;
   }
   Journal(StorageJournal::EncodeDropProcess(pid, moved_to));
-  logs_.erase(it);
+  EraseLog(pid);
   moved_[pid] = moved_to;
   RefreshAccounting();
 }
@@ -503,21 +531,12 @@ uint64_t StableStorage::IncrementRestartNumber() {
   return restart_number_;
 }
 
-size_t StableStorage::TotalBytes() const {
-  size_t total = 0;
-  for (const auto& [pid, log] : logs_) {
-    total += log.info.log_bytes + log.info.checkpoint_bytes;
-  }
-  return total;
-}
-
 size_t StableStorage::TotalPages() const {
   // Messages are buffered into 4 KB pages per process (§4.5); each process's
   // log occupies whole pages.
   size_t pages = 0;
   for (const auto& [pid, log] : logs_) {
-    size_t bytes = log.info.log_bytes + log.info.checkpoint_bytes;
-    pages += (bytes + kPageBytes - 1) / kPageBytes;
+    pages += (BytesOf(log) + kPageBytes - 1) / kPageBytes;
   }
   return pages;
 }

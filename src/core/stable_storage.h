@@ -248,7 +248,8 @@ class StableStorage {
   uint64_t restart_number() const { return restart_number_; }
 
   // --- Accounting (§5.1 storage results) ---
-  size_t TotalBytes() const;
+  // O(1): a running total kept by the byte-accounting helpers below.
+  size_t TotalBytes() const { return total_bytes_; }
   size_t TotalPages() const;
   size_t PeakBytes() const { return peak_bytes_; }
   uint64_t messages_stored() const { return messages_stored_; }
@@ -288,6 +289,19 @@ class StableStorage {
   friend class StorageJournal;
 
   ProcessLog& Ensure(const ProcessId& pid);
+  // Byte accounting.  total_bytes_ is the sum of log_bytes + checkpoint_bytes
+  // over logs_.  Every change to a stored log's byte counts goes through
+  // SetBytes, and every entry installed into or removed from logs_ goes
+  // through InstallLog, EraseLog or ClearLogs (StorageJournal's apply paths
+  // included), so the total stays exact without a walk.  Ensure() may add
+  // an entry directly: a fresh entry holds no bytes.
+  static size_t BytesOf(const ProcessLog& log) {
+    return log.info.log_bytes + log.info.checkpoint_bytes;
+  }
+  void SetBytes(ProcessLog& log, size_t log_bytes, size_t checkpoint_bytes);
+  void InstallLog(const ProcessId& pid, ProcessLog log);
+  void EraseLog(const ProcessId& pid);
+  void ClearLogs();
   void RefreshAccounting();
   // Recomputes by_id/read_order from `entries` — the cold path used after
   // checkpoint compaction and snapshot restore (StorageJournal fills
@@ -330,6 +344,7 @@ class StableStorage {
   uint64_t restart_number_ = 0;
   uint64_t messages_stored_ = 0;
   uint64_t straggler_appends_ = 0;
+  size_t total_bytes_ = 0;
   size_t peak_bytes_ = 0;
   StorageBackend* backend_ = nullptr;
   std::function<uint64_t()> clock_;

@@ -520,7 +520,7 @@ Status StorageJournal::Apply(StableStorage& db, std::span<const uint8_t> record)
     case JournalOp::kDropProcess: {
       READ_OR_RETURN(pid, r.ReadProcessId());
       READ_OR_RETURN(moved_to, r.ReadNodeId());
-      db.logs_.erase(pid);
+      db.EraseLog(pid);
       db.moved_[pid] = moved_to;
       return Status::Ok();
     }
@@ -530,7 +530,7 @@ Status StorageJournal::Apply(StableStorage& db, std::span<const uint8_t> record)
         return Corrupt("unsupported snapshot version");
       }
       // The snapshot supersedes everything applied so far.
-      db.logs_.clear();
+      db.ClearLogs();
       db.node_logs_.clear();
       db.moved_.clear();
       db.annex_.clear();
@@ -596,7 +596,7 @@ Status StorageJournal::ApplySnapshotProcess(StableStorage& db, Reader& r) {
   if (!status.ok()) {
     return status;
   }
-  db.logs_[pid] = std::move(log);
+  db.InstallLog(pid, std::move(log));
   return Status::Ok();
 }
 
@@ -613,7 +613,7 @@ Status StorageJournal::ApplyImportProcess(StableStorage& db, Reader& r) {
     db.next_arrival_ = std::max(db.next_arrival_, entry.arrival + 1);
   }
   db.moved_.erase(pid);
-  db.logs_[pid] = std::move(log);
+  db.InstallLog(pid, std::move(log));
   return Status::Ok();
 }
 

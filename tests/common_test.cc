@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 
 #include "src/common/checksum.h"
@@ -139,10 +140,53 @@ TEST(Checksum, IncrementalMatchesOneShot) {
   for (size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<uint8_t>(i);
   }
-  uint32_t state = Crc32Init();
-  state = Crc32Update(state, std::span<const uint8_t>(data.data(), 400));
-  state = Crc32Update(state, std::span<const uint8_t>(data.data() + 400, 600));
-  EXPECT_EQ(Crc32Final(state), Crc32(std::span<const uint8_t>(data.data(), data.size())));
+  const uint32_t one_shot = Crc32(std::span<const uint8_t>(data.data(), data.size()));
+  // Splits off the 8-byte stride leave a byte tail in the first call and
+  // start the second call's 8-byte steps at an odd offset.
+  for (size_t split : {size_t{400}, size_t{3}, size_t{401}, size_t{997}}) {
+    SCOPED_TRACE(split);
+    uint32_t state = Crc32Init();
+    state = Crc32Update(state, std::span<const uint8_t>(data.data(), split));
+    state = Crc32Update(state, std::span<const uint8_t>(data.data() + split, data.size() - split));
+    EXPECT_EQ(Crc32Final(state), one_shot);
+  }
+}
+
+// The one-lookup-per-byte loop Crc32Update ran before slicing-by-8: the
+// reference the sliced version must match bit for bit.
+uint32_t BytewiseCrc32Update(uint32_t state, std::span<const uint8_t> data) {
+  static const std::array<uint32_t, 256> table = [] {
+    std::array<uint32_t, 256> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  for (uint8_t byte : data) {
+    state = table[(state ^ byte) & 0xFF] ^ (state >> 8);
+  }
+  return state;
+}
+
+TEST(Checksum, SlicedMatchesBytewiseAtEveryLengthAndOffset) {
+  Rng rng(2024);
+  Bytes data(1100 + 8);
+  for (uint8_t& byte : data) {
+    byte = static_cast<uint8_t>(rng.NextU64());
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 1100; ++length) {
+      const std::span<const uint8_t> slice(data.data() + offset, length);
+      ASSERT_EQ(Crc32(slice), BytewiseCrc32Update(0xFFFFFFFFu, slice) ^ 0xFFFFFFFFu)
+          << "offset " << offset << " length " << length;
+      ASSERT_EQ(Crc32Update(0x1EDC6F41u, slice), BytewiseCrc32Update(0x1EDC6F41u, slice))
+          << "offset " << offset << " length " << length;
+    }
+  }
 }
 
 class ChecksumCorruption : public ::testing::TestWithParam<size_t> {};
