@@ -263,7 +263,7 @@ SweepResult RunSweepPoint(size_t segments, size_t users_per_segment, size_t work
   }
   // Publish-ack latency per guaranteed data message: first send to the
   // end-to-end acknowledgement, in virtual ms.
-  for (const auto& [id, record] : lifecycle.table()) {
+  for (const LifecycleRecord& record : lifecycle.SortedRecords()) {
     if ((record.flags & kCausalGuaranteed) == 0 ||
         (record.flags & kCausalControl) != 0) {
       continue;

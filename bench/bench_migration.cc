@@ -158,7 +158,7 @@ void RunSoak(BenchJson& json, std::string* oracle_report) {
   uint64_t data_messages = 0;
   uint64_t max_reads = 0;
   uint64_t read_once = 0;
-  for (const auto& [id, record] : rig.lifecycle.table()) {
+  for (const LifecycleRecord& record : rig.lifecycle.SortedRecords()) {
     if ((record.flags & kCausalGuaranteed) == 0 ||
         (record.flags & kCausalControl) != 0) {
       continue;
@@ -401,7 +401,7 @@ SkewResult RunSkewedLoad(bool balanced) {
       ++result.completed_pingers;
     }
   }
-  for (const auto& [id, record] : rig.lifecycle.table()) {
+  for (const LifecycleRecord& record : rig.lifecycle.SortedRecords()) {
     if ((record.flags & kCausalGuaranteed) == 0 ||
         (record.flags & kCausalControl) != 0) {
       continue;

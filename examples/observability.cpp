@@ -165,7 +165,7 @@ int main() {
   ok &= Require(flight.dump_count() >= 1, "crash dumped the flight recorder");
   ok &= Require(tracer.Contains("msg.lifecycle"), "trace has per-message spans");
   bool full_chain = false;
-  for (const auto& [id, rec] : lifecycle.table()) {
+  for (const LifecycleRecord& rec : lifecycle.SortedRecords()) {
     full_chain = full_chain ||
                  (rec.Saw(LifecycleStage::kSent) && rec.Saw(LifecycleStage::kOnWire) &&
                   rec.Saw(LifecycleStage::kOverheard) &&

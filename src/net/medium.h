@@ -9,6 +9,7 @@
 #ifndef SRC_NET_MEDIUM_H_
 #define SRC_NET_MEDIUM_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -87,9 +88,15 @@ class Medium {
   Medium(const Medium&) = delete;
   Medium& operator=(const Medium&) = delete;
 
+  // Detach leaves the address in the attach order, so a station re-attached
+  // under it keeps its ring position and receives one copy of a broadcast.
   void Attach(Station* station) {
-    stations_[station->Address()] = station;
-    attach_order_.push_back(station->Address());
+    const NodeId address = station->Address();
+    stations_[address] = station;
+    if (std::find(attach_order_.begin(), attach_order_.end(), address) ==
+        attach_order_.end()) {
+      attach_order_.push_back(address);
+    }
   }
   void Detach(NodeId node) { stations_.erase(node); }
 

@@ -1,5 +1,6 @@
 #include "src/obs/lifecycle.h"
 
+#include <algorithm>
 #include <cstring>
 #include <type_traits>
 #include <utility>
@@ -362,15 +363,27 @@ const LifecycleRecord* LifecycleTracker::Find(const MessageId& id) const {
   return it == table_.end() ? nullptr : &it->second;
 }
 
+std::vector<std::reference_wrapper<const LifecycleRecord>> LifecycleTracker::SortedRecords()
+    const {
+  std::vector<std::reference_wrapper<const LifecycleRecord>> records;
+  records.reserve(table_.size());
+  for (const auto& entry : table_) {
+    records.emplace_back(entry.second);
+  }
+  std::sort(records.begin(), records.end(),
+            [](const LifecycleRecord& a, const LifecycleRecord& b) { return a.id < b.id; });
+  return records;
+}
+
 std::string LifecycleTracker::TableToJson() const {
   std::string out = "{\"messages\":[";
   bool first_rec = true;
-  for (const auto& [id, rec] : table_) {
+  for (const LifecycleRecord& rec : SortedRecords()) {
     if (!first_rec) {
       out += ',';
     }
     first_rec = false;
-    out += "{\"id\":\"" + JsonEscape(ToString(id)) + '"';
+    out += "{\"id\":\"" + JsonEscape(ToString(rec.id)) + '"';
     out += ",\"origin\":" + std::to_string(rec.origin.value);
     out += ",\"dst_node\":" + std::to_string(rec.dst_node.value);
     if (rec.dst_process.IsValid()) {
@@ -415,12 +428,12 @@ std::string LifecycleTracker::TableToJson() const {
 
 std::string LifecycleTracker::TableToCsv() const {
   std::string out = "id,origin,dst_node,flags,hops,stage,first_ms,count\n";
-  for (const auto& [id, rec] : table_) {
+  for (const LifecycleRecord& rec : SortedRecords()) {
     for (size_t s = 0; s < kLifecycleStageCount; ++s) {
       if (rec.count[s] == 0) {
         continue;
       }
-      out += '"' + ToString(id) + "\",";
+      out += '"' + ToString(rec.id) + "\",";
       out += std::to_string(rec.origin.value) + ',';
       out += std::to_string(rec.dst_node.value) + ',';
       out += std::to_string(rec.flags) + ',';

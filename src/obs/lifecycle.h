@@ -31,8 +31,9 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
+#include <functional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -153,7 +154,9 @@ class LifecycleTracker {
   uint64_t observed() const { return next_seq_; }
   uint64_t evicted() const { return evicted_; }
   const LifecycleRecord* Find(const MessageId& id) const;
-  const std::map<MessageId, LifecycleRecord>& table() const { return table_; }
+  // Every record, sorted by message id.  The references stay valid until
+  // the next observation.
+  std::vector<std::reference_wrapper<const LifecycleRecord>> SortedRecords() const;
 
   // Deterministic exports of the lifecycle table.
   std::string TableToJson() const;
@@ -178,7 +181,7 @@ class LifecycleTracker {
 
   const Simulator* sim_;
   size_t max_messages_;
-  std::map<MessageId, LifecycleRecord> table_;
+  std::unordered_map<MessageId, LifecycleRecord> table_;
   std::deque<MessageId> insertion_order_;  // For FIFO eviction.
   uint64_t next_seq_ = 0;
   uint64_t evicted_ = 0;

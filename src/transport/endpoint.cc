@@ -80,8 +80,9 @@ void TransportEndpoint::Send(Packet packet) {
     medium_->Send(std::move(frame));
     return;
   }
+  const NodeId dst = packet.header.dst_node;
   send_queue_.push_back(std::move(packet));
-  TrySendNext();
+  TrySendNext(dst);
 }
 
 void TransportEndpoint::Reset() {
@@ -94,19 +95,20 @@ void TransportEndpoint::Reset() {
   dup_order_.clear();
 }
 
-void TransportEndpoint::TrySendNext() {
-  for (auto it = send_queue_.begin(); it != send_queue_.end();) {
-    const NodeId dst = it->header.dst_node;
-    size_t outstanding = 0;
-    for (const InFlight& inflight : in_flight_) {
-      if (inflight.packet.header.dst_node == dst) {
-        ++outstanding;
-      }
+void TransportEndpoint::TrySendNext(NodeId dst) {
+  size_t outstanding = 0;
+  for (const InFlight& inflight : in_flight_) {
+    if (inflight.packet.header.dst_node == dst) {
+      ++outstanding;
     }
-    if (outstanding >= options_.window) {
+  }
+  for (auto it = send_queue_.begin();
+       it != send_queue_.end() && outstanding < options_.window;) {
+    if (it->header.dst_node != dst) {
       ++it;
       continue;
     }
+    ++outstanding;
     InFlight inflight;
     inflight.packet = std::move(*it);
     it = send_queue_.erase(it);
@@ -261,8 +263,9 @@ void TransportEndpoint::HandleAck(const AckPacket& ack) {
         tracer_->EndSpan(it->span_id, "transport.rtt", "transport",
                          obs_track::kTransport);
       }
+      const NodeId dst = it->packet.header.dst_node;
       in_flight_.erase(it);
-      TrySendNext();
+      TrySendNext(dst);
       return;
     }
   }

@@ -105,7 +105,11 @@ class TransportEndpoint : public Station {
     uint32_t attempts = 0;    // Transmissions so far (CausalContext hop).
   };
 
-  void TrySendNext();
+  // Moves `dst`'s queued packets, in FIFO order, into flight until its
+  // window is full.  Every pump leaves each still-queued packet behind a
+  // full window, so only the destination whose packet was just queued
+  // (Send) or acknowledged (HandleAck) can have room.
+  void TrySendNext(NodeId dst);
   void TransmitInFlight(size_t index);
   void OnRetransmitTimer(MessageId id);
   void HandleData(const Packet& packet);

@@ -127,29 +127,80 @@ TEST(LifecycleTracker, EvictsOldestRecordWhenFull) {
   EXPECT_EQ(tracker.Find(Ctx(1, 1, 1).id), nullptr);
   EXPECT_EQ(tracker.Find(Ctx(1, 1, 2).id), nullptr);
   EXPECT_NE(tracker.Find(Ctx(1, 1, 6).id), nullptr);
+
+  // Descending ids: the first-observed record holds the largest id, and
+  // eviction follows first observation, not id order.
+  LifecycleTracker descending(&sim, /*max_messages=*/4);
+  for (uint64_t i = 6; i >= 1; --i) {
+    descending.Observe(Ctx(1, 1, i), LifecycleStage::kSent, NodeId{1});
+  }
+  EXPECT_EQ(descending.size(), 4u);
+  EXPECT_EQ(descending.evicted(), 2u);
+  EXPECT_EQ(descending.Find(Ctx(1, 1, 6).id), nullptr);
+  EXPECT_EQ(descending.Find(Ctx(1, 1, 5).id), nullptr);
+  EXPECT_NE(descending.Find(Ctx(1, 1, 4).id), nullptr);
+  EXPECT_NE(descending.Find(Ctx(1, 1, 1).id), nullptr);
 }
 
 TEST(LifecycleTracker, TableExportsAreDeterministicAndValid) {
+  // Two senders' ids, observed in descending order: every export lists them
+  // ascending, byte for byte as a tracker fed the same ids ascending does.
+  std::vector<CausalContext> ascending;
+  for (uint32_t sender : {2u, 4u}) {
+    for (uint64_t i = 1; i <= 3; ++i) {
+      ascending.push_back(Ctx(sender, 5, i));
+    }
+  }
+  const std::vector<CausalContext> descending(ascending.rbegin(), ascending.rend());
+  auto feed = [](LifecycleTracker& tracker, const std::vector<CausalContext>& order) {
+    for (const CausalContext& ctx : order) {
+      tracker.Observe(ctx, LifecycleStage::kSent, ctx.origin);
+      tracker.Observe(ctx, LifecycleStage::kOnWire, ctx.origin);
+      tracker.Observe(ctx, LifecycleStage::kDelivered, NodeId{3});
+    }
+  };
   Simulator sim;
   LifecycleTracker tracker(&sim);
-  for (uint64_t i = 1; i <= 3; ++i) {
-    CausalContext ctx = Ctx(2, 5, i);
-    tracker.Observe(ctx, LifecycleStage::kSent, NodeId{2});
-    tracker.Observe(ctx, LifecycleStage::kOnWire, NodeId{2});
-    tracker.Observe(ctx, LifecycleStage::kDelivered, NodeId{3});
+  feed(tracker, descending);
+  LifecycleTracker reference(&sim);
+  feed(reference, ascending);
+
+  std::vector<MessageId> sorted;
+  for (const LifecycleRecord& rec : tracker.SortedRecords()) {
+    sorted.push_back(rec.id);
   }
+  std::vector<MessageId> expected;
+  for (const CausalContext& ctx : ascending) {
+    expected.push_back(ctx.id);
+  }
+  EXPECT_EQ(sorted, expected);
 
   const std::string json = tracker.TableToJson();
   EXPECT_EQ(json, tracker.TableToJson());  // Deterministic.
+  EXPECT_EQ(json, reference.TableToJson());
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
   EXPECT_NE(json.find("\"messages\""), std::string::npos);
   EXPECT_NE(json.find("\"sent\""), std::string::npos);
-  EXPECT_NE(json.find("\"observed\":9"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"observed\":18"), std::string::npos) << json;
 
   const std::string csv = tracker.TableToCsv();
+  EXPECT_EQ(csv, reference.TableToCsv());
   EXPECT_EQ(csv.substr(0, csv.find('\n')),
             "id,origin,dst_node,flags,hops,stage,first_ms,count");
   EXPECT_NE(csv.find("delivered"), std::string::npos);
+
+  size_t json_at = 0;
+  size_t csv_at = 0;
+  for (const MessageId& id : expected) {
+    const size_t in_json = json.find("\"id\":\"" + ToString(id) + '"');
+    const size_t in_csv = csv.find('"' + ToString(id) + '"');
+    ASSERT_NE(in_json, std::string::npos) << ToString(id);
+    ASSERT_NE(in_csv, std::string::npos) << ToString(id);
+    EXPECT_GT(in_json, json_at) << ToString(id) << " out of id order";
+    EXPECT_GT(in_csv, csv_at) << ToString(id) << " out of id order";
+    json_at = in_json;
+    csv_at = in_csv;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -437,7 +488,7 @@ struct FullObsHarness {
   }
 
   bool AnyRecordSawFullChain() const {
-    for (const auto& [id, rec] : lifecycle.table()) {
+    for (const LifecycleRecord& rec : lifecycle.SortedRecords()) {
       if (rec.Saw(LifecycleStage::kSent) && rec.Saw(LifecycleStage::kOnWire) &&
           rec.Saw(LifecycleStage::kOverheard) &&
           rec.Saw(LifecycleStage::kPublished) &&
@@ -491,7 +542,7 @@ TEST(LifecycleIntegration, CrashRecoveryStaysOracleCleanAndDumpsFlight) {
   EXPECT_EQ(h.oracle.total_violations(), 0u) << h.oracle.ReportJson();
   // Recovery actually replayed something, and the tracker saw it.
   bool any_replayed = false;
-  for (const auto& [id, rec] : h.lifecycle.table()) {
+  for (const LifecycleRecord& rec : h.lifecycle.SortedRecords()) {
     any_replayed = any_replayed || rec.Saw(LifecycleStage::kReplayed);
   }
   EXPECT_TRUE(any_replayed);
@@ -514,11 +565,11 @@ TEST(LifecycleIntegration, BurstReplayCountsReplayedOncePerMessage) {
   // ...and each replayed message still hits the `replayed` lifecycle stage
   // exactly once for the recovery round, burst packing notwithstanding.
   uint64_t replayed_records = 0;
-  for (const auto& [id, rec] : h.lifecycle.table()) {
+  for (const LifecycleRecord& rec : h.lifecycle.SortedRecords()) {
     if (rec.Saw(LifecycleStage::kReplayed)) {
       ++replayed_records;
       EXPECT_EQ(rec.count[static_cast<size_t>(LifecycleStage::kReplayed)], 1u)
-          << "message " << ToString(id) << " observed `replayed` more than once";
+          << "message " << ToString(rec.id) << " observed `replayed` more than once";
     }
   }
   EXPECT_GT(replayed_records, 0u);

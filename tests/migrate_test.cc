@@ -206,9 +206,9 @@ struct ObsMigrate {
   // those use ExpectOrderedTranscript + the oracle's per-incarnation
   // duplicate_delivery monitor instead.
   void ExpectExactlyOnceReads() {
-    for (const auto& [id, record] : lifecycle.table()) {
+    for (const LifecycleRecord& record : lifecycle.SortedRecords()) {
       EXPECT_LE(record.count[static_cast<size_t>(LifecycleStage::kRead)], 1u)
-          << "message " << ToString(id) << " read more than once";
+          << "message " << ToString(record.id) << " read more than once";
     }
   }
 

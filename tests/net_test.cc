@@ -218,6 +218,32 @@ TEST_P(AllMediaTest, ChannelUtilizationIsAccounted) {
   EXPECT_EQ(medium->stats().frames_sent, 20u);
 }
 
+TEST_P(AllMediaTest, ReattachedAddressGetsOneBroadcastCopyAndKeepsRingSize) {
+  Simulator sim;
+  auto medium = MakeMedium(&sim, GetParam());
+  TestStation a(medium.get(), NodeId{1});
+  TestStation b(medium.get(), NodeId{2});
+  TestStation c(medium.get(), NodeId{3});
+  // On the token ring a broadcast holds the channel for a time that grows
+  // with the number of ring positions; on the other media it is fixed.
+  auto broadcast_busy_time = [&] {
+    const SimDuration before = medium->stats().channel.busy_time();
+    medium->Send(MakeFrame(1, 0xFFFFFFFF));
+    sim.RunFor(Seconds(2));
+    return medium->stats().channel.busy_time() - before;
+  };
+  const SimDuration busy_before = broadcast_busy_time();
+
+  medium->Detach(NodeId{2});
+  TestStation replacement(medium.get(), NodeId{2});
+  const SimDuration busy_after = broadcast_busy_time();
+
+  EXPECT_EQ(replacement.frames.size(), 1u);
+  EXPECT_EQ(b.frames.size(), 1u);
+  EXPECT_EQ(c.frames.size(), 2u);
+  EXPECT_EQ(busy_after, busy_before);
+}
+
 INSTANTIATE_TEST_SUITE_P(Media, AllMediaTest,
                          ::testing::Values(Kind::kEther, Kind::kAckEther, Kind::kStar,
                                            Kind::kRing),

@@ -210,5 +210,36 @@ TEST_P(TransportWindowSweep, AllWindowSizesPreserveOrderAndDelivery) {
 
 INSTANTIATE_TEST_SUITE_P(Windows, TransportWindowSweep, ::testing::Values(1, 2, 4, 8));
 
+class TransportInterleavedDestinations : public ::testing::TestWithParam<size_t> {};
+
+// A deep send queue alternating between a reachable and an offline
+// destination: each destination's window fills and drains on its own.
+TEST_P(TransportInterleavedDestinations, OfflineDestinationDrainsInOrderOnceBack) {
+  TransportOptions transport;
+  transport.window = GetParam();
+  Net net({}, transport);
+  net.endpoints[3]->set_online(false);
+  for (uint64_t i = 1; i <= 100; ++i) {
+    net.endpoints[1]->Send(net.MakePacket(1, i % 2 == 1 ? 2 : 3, i));
+  }
+  net.sim.RunFor(Seconds(10));
+  ASSERT_EQ(net.received[2].size(), 50u);
+  for (uint64_t i = 0; i < 50; ++i) {
+    EXPECT_EQ(net.received[2][i].header.id.sequence, 2 * i + 1);
+  }
+  EXPECT_TRUE(net.received[3].empty());
+
+  net.endpoints[3]->set_online(true);
+  net.sim.RunFor(Seconds(60));
+  ASSERT_EQ(net.received[3].size(), 50u);
+  for (uint64_t i = 0; i < 50; ++i) {
+    EXPECT_EQ(net.received[3][i].header.id.sequence, 2 * i + 2);
+  }
+  const TransportStats& stats = net.endpoints[1]->stats();
+  EXPECT_EQ(stats.data_sent - stats.retransmits, 100u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Windows, TransportInterleavedDestinations, ::testing::Values(1, 3));
+
 }  // namespace
 }  // namespace publishing
