@@ -60,12 +60,6 @@ void StableStorage::AttachBackend(StorageBackend* backend) {
   }
 }
 
-void StableStorage::Journal(Bytes record) {
-  if (backend_ != nullptr) {
-    (void)backend_->Append(record, clock_ ? clock_() : 0);
-  }
-}
-
 Status StableStorage::Flush() {
   return backend_ != nullptr ? backend_->Sync() : Status::Ok();
 }
@@ -102,7 +96,9 @@ void StableStorage::ClearLogs() {
 void StableStorage::RecordCreation(const ProcessId& pid, const std::string& program,
                                    std::vector<Link> initial_links, NodeId home_node,
                                    bool recoverable) {
-  Journal(StorageJournal::EncodeCreate(pid, program, initial_links, home_node, recoverable));
+  Journal([&] {
+    return StorageJournal::EncodeCreate(pid, program, initial_links, home_node, recoverable);
+  });
   ProcessLog& log = Ensure(pid);
   log.info.program = program;
   log.info.initial_links = std::move(initial_links);
@@ -116,7 +112,7 @@ void StableStorage::RecordDestruction(const ProcessId& pid) {
   if (it == logs_.end()) {
     return;
   }
-  Journal(StorageJournal::EncodeDestroy(pid));
+  Journal([&] { return StorageJournal::EncodeDestroy(pid); });
   // Keep a tombstone so restart queries do not resurrect it, but free the
   // replay data.
   it->second.info.destroyed = true;
@@ -131,7 +127,7 @@ void StableStorage::RecordDestruction(const ProcessId& pid) {
 void StableStorage::SetHomeNode(const ProcessId& pid, NodeId node) {
   auto it = logs_.find(pid);
   if (it != logs_.end()) {
-    Journal(StorageJournal::EncodeSetHome(pid, node));
+    Journal([&] { return StorageJournal::EncodeSetHome(pid, node); });
     it->second.info.home_node = node;
   }
 }
@@ -145,10 +141,10 @@ void StableStorage::AppendMessage(const ProcessId& pid, const MessageId& id, Buf
     // NOT promise is replay (the evicting kernel's forwarding re-send is the
     // delivery path for stragglers).
     AnnexLog& annex = annex_[pid];
-    if (!annex.ids.insert(id).second) {
+    if (!annex.ids.insert(id)) {
       return;  // Retransmit of an annexed straggler.
     }
-    Journal(StorageJournal::EncodeAppendMessage(pid, id, packet));
+    Journal([&] { return StorageJournal::EncodeAppendMessage(pid, id, packet); });
     ObserveDurable(id);
     LogEntry straggler;
     straggler.id = id;
@@ -162,17 +158,17 @@ void StableStorage::AppendMessage(const ProcessId& pid, const MessageId& id, Buf
   if (log.info.destroyed || !log.info.recoverable) {
     return;  // §6.6.1: nothing is published for non-recoverable processes.
   }
-  if (!log.ever_logged.insert(id).second) {
+  if (!log.ever_logged.insert(id)) {
     return;  // Duplicate of a frame we already published.
   }
-  Journal(StorageJournal::EncodeAppendMessage(pid, id, packet));
+  Journal([&] { return StorageJournal::EncodeAppendMessage(pid, id, packet); });
   ObserveDurable(id);
   LogEntry entry;
   entry.id = id;
   entry.arrival = next_arrival_++;
   entry.packet = std::move(packet);
   SetBytes(log, log.info.log_bytes + entry.packet.size(), log.info.checkpoint_bytes);
-  log.by_id.emplace(entry.id, log.entries.size());
+  log.by_id.try_emplace(entry.id, log.entries.size());
   log.entries.push_back(std::move(entry));
   log.info.log_entries = log.entries.size();
   ++messages_stored_;
@@ -188,12 +184,12 @@ void StableStorage::RecordRead(const ProcessId& reader, const MessageId& id) {
   if (log.ever_read.contains(id)) {
     return;  // Replay re-read; order already known.
   }
-  auto pos = log.by_id.find(id);
-  if (pos == log.by_id.end()) {
+  const size_t* pos = log.by_id.find(id);
+  if (pos == nullptr) {
     return;
   }
-  LogEntry& entry = log.entries[pos->second];
-  Journal(StorageJournal::EncodeRecordRead(reader, id));
+  LogEntry& entry = log.entries[*pos];
+  Journal([&] { return StorageJournal::EncodeRecordRead(reader, id); });
   entry.read = true;
   entry.read_seq = log.next_read_seq++;
   log.ever_read.insert(id);
@@ -208,7 +204,7 @@ void StableStorage::RecordSent(const ProcessId& sender, uint64_t seq) {
   }
   ProcessLog& log = Ensure(sender);
   if (seq > log.info.last_sent_seq) {
-    Journal(StorageJournal::EncodeRecordSent(sender, seq));
+    Journal([&] { return StorageJournal::EncodeRecordSent(sender, seq); });
     log.info.last_sent_seq = seq;
   }
 }
@@ -221,7 +217,7 @@ void StableStorage::StoreCheckpoint(const ProcessId& pid, Bytes state, uint64_t 
   if (log.info.destroyed) {
     return;
   }
-  Journal(StorageJournal::EncodeStoreCheckpoint(pid, state, reads_done));
+  Journal([&] { return StorageJournal::EncodeStoreCheckpoint(pid, state, reads_done); });
   log.checkpoint = std::move(state);
   log.info.has_checkpoint = true;
   log.info.checkpoint_reads = reads_done;
@@ -260,7 +256,7 @@ void StableStorage::SetRecovering(const ProcessId& pid, bool recovering) {
   if (it == logs_.end() || it->second.info.recovering == recovering) {
     return;
   }
-  Journal(StorageJournal::EncodeSetRecovering(pid, recovering));
+  Journal([&] { return StorageJournal::EncodeSetRecovering(pid, recovering); });
   it->second.info.recovering = recovering;
 }
 
@@ -294,7 +290,7 @@ Status StableStorage::ImportEntry(const Bytes& blob, NodeId node) {
   InstallLog(pid, std::move(log));
   // Journal the post-remap image (install first, then encode from the
   // installed entry): a rebuilt recorder re-installs it verbatim.
-  Journal(StorageJournal::EncodeImportProcess(*this, pid));
+  Journal([&] { return StorageJournal::EncodeImportProcess(*this, pid); });
   RefreshAccounting();
   return Status::Ok();
 }
@@ -303,7 +299,7 @@ void StableStorage::DropEntry(const ProcessId& pid, NodeId moved_to) {
   if (!logs_.contains(pid)) {
     return;
   }
-  Journal(StorageJournal::EncodeDropProcess(pid, moved_to));
+  Journal([&] { return StorageJournal::EncodeDropProcess(pid, moved_to); });
   EraseLog(pid);
   moved_[pid] = moved_to;
   RefreshAccounting();
@@ -342,7 +338,7 @@ void StableStorage::RebuildReplayIndex(ProcessLog& log) {
   log.by_id.reserve(log.entries.size());
   size_t read_count = 0;
   for (size_t i = 0; i < log.entries.size(); ++i) {
-    log.by_id.emplace(log.entries[i].id, i);
+    log.by_id.try_emplace(log.entries[i].id, i);
     if (log.entries[i].read) {
       ++read_count;
     }
@@ -351,8 +347,8 @@ void StableStorage::RebuildReplayIndex(ProcessLog& log) {
   // stay in read_seq order, so the incremental (checkpoint) path needs no
   // sort.
   std::erase_if(log.read_order, [&](const MessageId& id) {
-    auto it = log.by_id.find(id);
-    return it == log.by_id.end() || !log.entries[it->second].read;
+    const size_t* pos = log.by_id.find(id);
+    return pos == nullptr || !log.entries[*pos].read;
   });
   if (log.read_order.size() != read_count) {
     // Cold restore: StorageJournal filled `entries` directly (no incremental
@@ -366,8 +362,8 @@ void StableStorage::RebuildReplayIndex(ProcessLog& log) {
     }
     std::sort(log.read_order.begin(), log.read_order.end(),
               [&](const MessageId& a, const MessageId& b) {
-                return log.entries[log.by_id.at(a)].read_seq <
-                       log.entries[log.by_id.at(b)].read_seq;
+                return log.entries[*log.by_id.find(a)].read_seq <
+                       log.entries[*log.by_id.find(b)].read_seq;
               });
   }
 }
@@ -383,9 +379,8 @@ ReplayCursor StableStorage::Replay(const ProcessId& pid) const {
   // Read entries in read order — read_order is maintained sorted, so this is
   // a straight index walk; each push shares the stored packet Buffer.
   for (const MessageId& id : log.read_order) {
-    auto pos = log.by_id.find(id);
-    if (pos != log.by_id.end()) {
-      out.push_back(log.entries[pos->second]);
+    if (const size_t* pos = log.by_id.find(id)) {
+      out.push_back(log.entries[*pos]);
     }
   }
   // Then unread entries in arrival order (`entries` is arrival-ordered).
@@ -446,10 +441,10 @@ uint32_t StableStorage::LocalIdHighWater(NodeId node) const {
 
 void StableStorage::AppendNodeMessage(NodeId node, const MessageId& id, Buffer packet) {
   NodeLog& log = node_logs_[node];
-  if (!log.ever_logged.insert(id).second) {
+  if (!log.ever_logged.insert(id)) {
     return;  // Retransmission of an already-published frame.
   }
-  Journal(StorageJournal::EncodeAppendNodeMessage(node, id, packet));
+  Journal([&] { return StorageJournal::EncodeAppendNodeMessage(node, id, packet); });
   ObserveDurable(id);
   NodeLogEntry entry;
   entry.id = id;
@@ -466,7 +461,7 @@ void StableStorage::StampNodeMessage(NodeId node, const MessageId& id, uint64_t 
   }
   for (NodeLogEntry& entry : it->second.entries) {
     if (entry.id == id && !entry.stamped) {
-      Journal(StorageJournal::EncodeStampNodeMessage(node, id, step));
+      Journal([&] { return StorageJournal::EncodeStampNodeMessage(node, id, step); });
       entry.step = step;
       entry.stamped = true;
       return;
@@ -475,7 +470,7 @@ void StableStorage::StampNodeMessage(NodeId node, const MessageId& id, uint64_t 
 }
 
 void StableStorage::StoreNodeCheckpoint(NodeId node, Bytes image, uint64_t node_step) {
-  Journal(StorageJournal::EncodeStoreNodeCheckpoint(node, image, node_step));
+  Journal([&] { return StorageJournal::EncodeStoreNodeCheckpoint(node, image, node_step); });
   NodeLog& log = node_logs_[node];
   log.has_checkpoint = true;
   log.checkpoint = std::move(image);
@@ -524,7 +519,7 @@ uint64_t StableStorage::IncrementRestartNumber() {
   // The restart number stamps state queries (§3.4); a recorder that forgot
   // it could reuse a number and mis-pair replies, so it goes durable
   // immediately rather than riding the group-commit window.
-  Journal(StorageJournal::EncodeRestartNumber(restart_number_));
+  Journal([&] { return StorageJournal::EncodeRestartNumber(restart_number_); });
   if (backend_ != nullptr) {
     (void)backend_->Sync();
   }

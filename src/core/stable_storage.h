@@ -21,11 +21,10 @@
 #include <functional>
 #include <map>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/buffer.h"
+#include "src/common/flat_table.h"
 #include "src/common/ids.h"
 #include "src/common/serialization.h"
 #include "src/common/status.h"
@@ -261,18 +260,17 @@ class StableStorage {
     Bytes checkpoint;
     std::vector<LogEntry> entries;              // Arrival order.
     uint64_t next_read_seq = 1;
-    std::unordered_set<MessageId> ever_read;    // Replay re-read filter.
-    std::unordered_set<MessageId> ever_logged;  // Retransmit dedup: a frame
-                                                // retransmitted because its
-                                                // ack was lost must not be
-                                                // logged twice.
+    FlatSet<MessageId> ever_read;    // Replay re-read filter.
+    FlatSet<MessageId> ever_logged;  // Retransmit dedup: a frame
+                                     // retransmitted because its ack was
+                                     // lost must not be logged twice.
     // Incremental replay index.  by_id maps a retained entry to its position
     // in `entries` (O(1) RecordRead instead of a linear scan); read_order
     // lists retained read entries in read_seq order (read_seq is monotonic,
     // so appends keep it sorted by construction).  Both are maintained at
     // publish/read time and compacted alongside the entries they index, so
     // replay assembly never re-sorts.
-    std::unordered_map<MessageId, size_t> by_id;
+    FlatMap<MessageId, size_t> by_id;
     std::vector<MessageId> read_order;
   };
 
@@ -281,7 +279,7 @@ class StableStorage {
     Bytes checkpoint;
     uint64_t checkpoint_step = 0;
     std::vector<NodeLogEntry> entries;
-    std::unordered_set<MessageId> ever_logged;
+    FlatSet<MessageId> ever_logged;
   };
 
   // StorageJournal serializes/restores the private image for snapshots and
@@ -317,8 +315,15 @@ class StableStorage {
     ctx.flags = kCausalGuaranteed;  // Only guaranteed traffic is published.
     lifecycle_->Observe(ctx, LifecycleStage::kDurable, lifecycle_node_);
   }
-  // Appends one record to the attached backend (no-op without one).
-  void Journal(Bytes record);
+  // Appends the record `encode()` returns to the attached backend.  Without
+  // one, nothing is encoded: the in-memory default pays no copy of the
+  // packet or checkpoint it would have journaled.
+  template <typename Encode>
+  void Journal(Encode&& encode) {
+    if (backend_ != nullptr) {
+      (void)backend_->Append(encode(), clock_ ? clock_() : 0);
+    }
+  }
 
   std::map<ProcessId, ProcessLog> logs_;
   std::map<NodeId, NodeLog> node_logs_;
@@ -336,8 +341,8 @@ class StableStorage {
   // snapshotted) so that when a crash kills the forwarding path, TakeAnnex
   // can feed the new home directly instead of losing acked messages.
   struct AnnexLog {
-    std::unordered_set<MessageId> ids;  // Retransmit dedup.
-    std::vector<LogEntry> entries;      // Arrival order.
+    FlatSet<MessageId> ids;         // Retransmit dedup.
+    std::vector<LogEntry> entries;  // Arrival order.
   };
   std::map<ProcessId, AnnexLog> annex_;
   uint64_t next_arrival_ = 1;

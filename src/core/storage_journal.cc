@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "src/common/flat_table.h"
+
 namespace publishing {
 
 namespace {
@@ -26,14 +28,14 @@ Status Corrupt(const char* what) {
   }                                   \
   auto var = std::move(*var##_r)
 
-void WriteMessageIdSet(Writer& w, const std::unordered_set<MessageId>& set) {
+void WriteMessageIdSet(Writer& w, const FlatSet<MessageId>& set) {
   w.WriteU32(static_cast<uint32_t>(set.size()));
   for (const MessageId& id : set) {
     w.WriteMessageId(id);
   }
 }
 
-Status ReadMessageIdSet(Reader& r, std::unordered_set<MessageId>& out) {
+Status ReadMessageIdSet(Reader& r, FlatSet<MessageId>& out) {
   READ_OR_RETURN(count, r.ReadU32());
   for (uint32_t i = 0; i < count; ++i) {
     READ_OR_RETURN(id, r.ReadMessageId());
@@ -162,16 +164,6 @@ JournalOp StorageJournal::OpOf(std::span<const uint8_t> record) {
 }
 
 namespace {
-// SplitMix64: a cheap, well-mixed integer hash.  std::hash is implementation
-// defined (often identity for integers), which would map consecutive local
-// ids onto consecutive stripes and make "balanced" depend on the modulus.
-uint64_t MixKey(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 // Little-endian u32 at `offset`, 0 on underrun (an undecodable record routes
 // to stripe 0, where Apply will reject it with the usual kCorrupt).
 uint32_t U32At(std::span<const uint8_t> record, size_t offset) {

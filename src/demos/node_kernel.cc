@@ -312,10 +312,9 @@ void NodeKernel::RouteArrival(const Packet& packet) {
 
   if (proc->state == ProcessRunState::kRecovering) {
     if (packet.header.replay()) {
-      if (proc->replayed_ids.contains(msg.id)) {
+      if (!proc->replayed_ids.insert(msg.id)) {
         return;  // A superseded recovery attempt already injected this one.
       }
-      proc->replayed_ids.insert(msg.id);
       // Seed the duplicate cache: a live retransmission of this message may
       // still arrive after recovery completes and must be suppressed.
       endpoint_->NoteDelivered(msg.id);

@@ -30,10 +30,10 @@
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "src/common/flat_table.h"
 #include "src/demos/link.h"
 #include "src/demos/process_image.h"
 #include "src/demos/program.h"
@@ -288,7 +288,7 @@ class NodeKernel {
     // Recovery bookkeeping (§3.3.3): live messages held until replay ends,
     // and the ids already replayed (to drop duplicates from the held set).
     std::deque<QueuedMessage> pending_live;
-    std::unordered_set<MessageId> replayed_ids;
+    FlatSet<MessageId> replayed_ids;
     uint64_t recovery_round = 0;  // Attempt nonce; stale completions ignored.
 
     // Pipelined replay reassembly (DESIGN.md §11): bursts unpack strictly in
@@ -393,7 +393,7 @@ class NodeKernel {
   ProcessId node_complete_reply_to_;
   std::deque<std::pair<uint64_t, Packet>> staged_replays_;
   std::deque<Packet> node_pending_live_;
-  std::unordered_set<MessageId> node_replayed_ids_;
+  FlatSet<MessageId> node_replayed_ids_;
   // Intranode messages between send and local delivery: they are in no
   // process queue yet, so a node checkpoint must capture them explicitly.
   std::deque<Packet> local_in_flight_;

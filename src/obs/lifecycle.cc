@@ -158,26 +158,23 @@ void LifecycleTracker::ApplyCaptured(const SimObsRecord& rec) {
 }
 
 LifecycleRecord& LifecycleTracker::FindOrCreate(const CausalContext& ctx) {
-  auto it = table_.find(ctx.id);
-  if (it != table_.end()) {
-    return it->second;
+  if (const uint64_t* position = index_.find(ctx.id)) {
+    return records_[*position - evicted_];
   }
-  while (table_.size() >= max_messages_ && !insertion_order_.empty()) {
-    const MessageId victim = insertion_order_.front();
-    insertion_order_.pop_front();
-    if (table_.erase(victim) > 0) {
-      ++evicted_;
-      if (evictions_ != nullptr) {
-        evictions_->Add();
-      }
+  while (records_.size() >= max_messages_) {
+    index_.erase(records_.front().id);
+    records_.pop_front();
+    ++evicted_;
+    if (evictions_ != nullptr) {
+      evictions_->Add();
     }
   }
-  it = table_.emplace(ctx.id, LifecycleRecord{}).first;
-  it->second.id = ctx.id;
-  it->second.origin = ctx.origin;
-  it->second.first_seq = next_seq_;
-  insertion_order_.push_back(ctx.id);
-  return it->second;
+  index_.try_emplace(ctx.id, evicted_ + records_.size());
+  LifecycleRecord& record = records_.emplace_back();
+  record.id = ctx.id;
+  record.origin = ctx.origin;
+  record.first_seq = next_seq_;
+  return record;
 }
 
 void LifecycleTracker::Observe(const CausalContext& ctx, LifecycleStage stage,
@@ -359,17 +356,14 @@ void LifecycleTracker::NoteFault(const std::string& kind, const std::string& det
 }
 
 const LifecycleRecord* LifecycleTracker::Find(const MessageId& id) const {
-  auto it = table_.find(id);
-  return it == table_.end() ? nullptr : &it->second;
+  const uint64_t* position = index_.find(id);
+  return position == nullptr ? nullptr : &records_[*position - evicted_];
 }
 
 std::vector<std::reference_wrapper<const LifecycleRecord>> LifecycleTracker::SortedRecords()
     const {
-  std::vector<std::reference_wrapper<const LifecycleRecord>> records;
-  records.reserve(table_.size());
-  for (const auto& entry : table_) {
-    records.emplace_back(entry.second);
-  }
+  std::vector<std::reference_wrapper<const LifecycleRecord>> records(records_.begin(),
+                                                                      records_.end());
   std::sort(records.begin(), records.end(),
             [](const LifecycleRecord& a, const LifecycleRecord& b) { return a.id < b.id; });
   return records;

@@ -33,10 +33,10 @@
 #include <deque>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "src/common/flat_table.h"
 #include "src/common/ids.h"
 #include "src/obs/causal.h"
 #include "src/sim/time.h"
@@ -150,7 +150,7 @@ class LifecycleTracker {
   void NoteFault(const std::string& kind, const std::string& detail);
 
   // Table access for tests and reporters.
-  size_t size() const { return table_.size(); }
+  size_t size() const { return records_.size(); }
   uint64_t observed() const { return next_seq_; }
   uint64_t evicted() const { return evicted_; }
   const LifecycleRecord* Find(const MessageId& id) const;
@@ -181,8 +181,12 @@ class LifecycleTracker {
 
   const Simulator* sim_;
   size_t max_messages_;
-  std::unordered_map<MessageId, LifecycleRecord> table_;
-  std::deque<MessageId> insertion_order_;  // For FIFO eviction.
+  // The table: a FIFO ring of records in first-observation order (chunked,
+  // so growing it never copies the records) and an index from each id to
+  // its record's absolute position.  Position p sits at records_[p -
+  // evicted_], since every eviction pops the front.
+  std::deque<LifecycleRecord> records_;
+  FlatMap<MessageId, uint64_t> index_;
   uint64_t next_seq_ = 0;
   uint64_t evicted_ = 0;
 

@@ -196,7 +196,7 @@ void InvariantOracle::OnEvent(const LifecycleEvent& event) {
             (uint64_t{ctx.hop} << 32) |
             (uint64_t{static_cast<uint16_t>(event.from_segment)} << 16) |
             uint64_t{static_cast<uint16_t>(event.to_segment)};
-        if (!forward_tuples_[ctx.id].insert(tuple).second) {
+        if (!forward_tuples_[ctx.id].insert(tuple)) {
           Violate(OracleMonitor::kGatewayForwarding, event,
                   "transmission forwarded twice across segments " +
                       std::to_string(event.from_segment) + " -> " +
@@ -262,18 +262,18 @@ void InvariantOracle::OnEvent(const LifecycleEvent& event) {
         if (ms != nullptr) {
           // Exactly-once across moves: the same message read on two
           // different nodes means a delivery was duplicated by the move.
-          auto [rit, fresh] = ms->read_node.try_emplace(ctx.id, event.node);
-          if (!fresh && rit->second != event.node) {
+          auto [first_node, fresh] = ms->read_node.try_emplace(ctx.id, event.node);
+          if (!fresh && *first_node != event.node) {
             Violate(OracleMonitor::kMigrationAtomicity, event,
                     "message read on node " + std::to_string(event.node.value) +
                         " after being read on node " +
-                        std::to_string(rit->second.value) +
+                        std::to_string(first_node->value) +
                         " (delivery duplicated across a move)");
-            rit->second = event.node;
+            *first_node = event.node;
           }
         }
       }
-      if (!ps.read_this_incarnation.insert(ctx.id).second) {
+      if (!ps.read_this_incarnation.insert(ctx.id)) {
         if (options_.duplicate_delivery) {
           Violate(OracleMonitor::kDuplicateDelivery, event,
                   "message read twice within one process incarnation");
@@ -283,9 +283,8 @@ void InvariantOracle::OnEvent(const LifecycleEvent& event) {
       ps.read_log.push_back(ctx.id);
       // Re-reading something the previous incarnation read: replay must
       // preserve the original read order.
-      auto it = ps.prev_read_index.find(ctx.id);
-      if (it != ps.prev_read_index.end()) {
-        const int64_t index = static_cast<int64_t>(it->second);
+      if (const size_t* prev = ps.prev_read_index.find(ctx.id)) {
+        const int64_t index = static_cast<int64_t>(*prev);
         if (options_.receive_order && index <= ps.last_prev_index) {
           Violate(OracleMonitor::kReceiveOrder, event,
                   "replayed read out of original order (index " +
@@ -304,7 +303,7 @@ void InvariantOracle::OnProcessReset(const ProcessId& pid) {
   ProcessState& ps = processes_[pid];
   ps.prev_read_index.clear();
   for (size_t i = 0; i < ps.read_log.size(); ++i) {
-    ps.prev_read_index.emplace(ps.read_log[i], i);
+    ps.prev_read_index.try_emplace(ps.read_log[i], i);
   }
   ps.read_log.clear();
   ps.last_prev_index = -1;
@@ -338,7 +337,7 @@ void InvariantOracle::OnMigrationAborted(const ProcessId& pid) {
 
 void InvariantOracle::CheckQuiescent() {
   if (options_.recorder_completeness) {
-    // Deterministic violation order despite the unordered map.
+    // Deterministic violation order despite the hash table's slot order.
     std::vector<MessageId> unpublished;
     for (const auto& [id, ms] : messages_) {
       if (ms.on_wire && ms.guaranteed && !ms.control && !ms.published) {

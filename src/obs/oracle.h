@@ -51,9 +51,9 @@
 #include <map>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "src/common/flat_table.h"
 #include "src/common/ids.h"
 #include "src/obs/causal.h"
 
@@ -116,7 +116,9 @@ class InvariantOracle {
   // (reason "oracle_violation"); metrics get per-monitor violation counters.
   void AttachFlightRecorder(FlightRecorder* flight) { flight_ = flight; }
   void AttachMetrics(MetricsRegistry* metrics);
-  // Extra hook for tests (runs on every violation, after recording).
+  // Extra hook for tests (runs on every violation, after recording).  It
+  // must not feed events back into this oracle: OnEvent holds references
+  // into its flat tables across the call.
   void SetViolationHook(std::function<void(const OracleViolation&)> hook) {
     hook_ = std::move(hook);
   }
@@ -185,12 +187,12 @@ class InvariantOracle {
     // Read log of the current incarnation, in read order.
     std::vector<MessageId> read_log;
     // Message id -> index in the *previous* incarnation's read log.
-    std::unordered_map<MessageId, size_t> prev_read_index;
+    FlatMap<MessageId, size_t> prev_read_index;
     // Highest previous-incarnation index re-read so far this incarnation.
     // -1 until the first re-read.
     int64_t last_prev_index = -1;
     // Ids read this incarnation (duplicate-delivery monitor).
-    std::unordered_set<MessageId> read_this_incarnation;
+    FlatSet<MessageId> read_this_incarnation;
     // Node observed reading for this process outside any move window: "no
     // two nodes owning a PID".  Cleared on incarnation reset (normal
     // recovery may legitimately recreate on a spare node).
@@ -207,7 +209,7 @@ class InvariantOracle {
     // the same message read on two different nodes is a delivery duplicated
     // across a move (the barrier checkpoint subsumes everything read before
     // the freeze, so clean migrations replay only unread entries).
-    std::unordered_map<MessageId, NodeId> read_node;
+    FlatMap<MessageId, NodeId> read_node;
   };
 
   void Violate(OracleMonitor monitor, const LifecycleEvent& event,
@@ -216,14 +218,14 @@ class InvariantOracle {
                SimTime time, std::string detail);
 
   Options options_;
-  std::unordered_map<MessageId, MessageState> messages_;
+  FlatMap<MessageId, MessageState> messages_;
   std::unordered_map<ProcessId, ProcessState> processes_;
   // Ordered so CheckQuiescent flags leftover moves deterministically.
   std::map<ProcessId, MigrationState> migrations_;
   // Per message: encoded (hop, from_segment, to_segment) gateway crossings
   // already seen, for duplicate-forward detection.  Kept out of MessageState
   // so messages that never cross a gateway pay nothing.
-  std::unordered_map<MessageId, std::unordered_set<uint64_t>> forward_tuples_;
+  FlatMap<MessageId, FlatSet<uint64_t>> forward_tuples_;
   std::function<int32_t(NodeId)> segment_resolver_;
 
   uint64_t total_violations_ = 0;

@@ -5,6 +5,8 @@
 #include <functional>
 #include <memory>
 
+#include "src/common/flat_table.h"
+
 namespace publishing {
 namespace {
 
@@ -146,10 +148,7 @@ QueueingResult RunQueueingSimulation(const QueueingConfig& config) {
     if (!config.hash_striped_disks) {
       return next_disk++ % config.disks;
     }
-    uint64_t x = static_cast<uint64_t>(node) + 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return static_cast<size_t>((x ^ (x >> 31)) % config.disks);
+    return static_cast<size_t>(MixKey(node) % config.disks);
   };
   auto to_disk = [&](size_t node, size_t bytes) {
     size_t d = disk_for(node);

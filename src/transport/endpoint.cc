@@ -229,15 +229,12 @@ void TransportEndpoint::HandleData(const Packet& packet) {
     }
     medium_->Send(std::move(frame));
   }
-  if (!packet.header.replay()) {
-    if (SeenId(packet.header.id)) {
-      ++stats_.duplicates_suppressed;
-      if (obs_dup_hits_ != nullptr) {
-        obs_dup_hits_->Add(1);
-      }
-      return;
+  if (!packet.header.replay() && !RememberId(packet.header.id)) {
+    ++stats_.duplicates_suppressed;
+    if (obs_dup_hits_ != nullptr) {
+      obs_dup_hits_->Add(1);
     }
-    RememberId(packet.header.id);
+    return;
   }
   ++stats_.data_delivered;
   if (obs_data_delivered_ != nullptr) {
@@ -278,15 +275,19 @@ void TransportEndpoint::NoteCorruptDropped() {
   }
 }
 
-void TransportEndpoint::RememberId(const MessageId& id) {
-  dup_cache_.insert(id);
+bool TransportEndpoint::RememberId(const MessageId& id) {
+  if (!dup_cache_.insert(id)) {
+    return false;
+  }
+  // Only a newly cached id joins the FIFO.  A second entry for a re-noted id
+  // would age out first and evict the id while it is still among the last
+  // dup_cache_size distinct ids.
   dup_order_.push_back(id);
   while (dup_order_.size() > options_.dup_cache_size) {
     dup_cache_.erase(dup_order_.front());
     dup_order_.pop_front();
   }
+  return true;
 }
-
-bool TransportEndpoint::SeenId(const MessageId& id) const { return dup_cache_.contains(id); }
 
 }  // namespace publishing

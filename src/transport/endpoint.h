@@ -19,8 +19,8 @@
 
 #include <deque>
 #include <functional>
-#include <unordered_set>
 
+#include "src/common/flat_table.h"
 #include "src/net/link_layer.h"
 #include "src/net/medium.h"
 #include "src/transport/packet.h"
@@ -115,8 +115,8 @@ class TransportEndpoint : public Station {
   void HandleData(const Packet& packet);
   void HandleAck(const AckPacket& ack);
   void NoteCorruptDropped();
-  void RememberId(const MessageId& id);
-  bool SeenId(const MessageId& id) const;
+  // Caches `id` for duplicate suppression; false if it was already cached.
+  bool RememberId(const MessageId& id);
 
   Simulator* sim_;
   Medium* medium_;
@@ -127,7 +127,7 @@ class TransportEndpoint : public Station {
 
   std::deque<Packet> send_queue_;       // Guaranteed packets awaiting a window slot.
   std::deque<InFlight> in_flight_;      // Unacknowledged guaranteed packets.
-  std::unordered_set<MessageId> dup_cache_;
+  FlatSet<MessageId> dup_cache_;
   std::deque<MessageId> dup_order_;     // FIFO eviction for the cache.
   TransportStats stats_;
 

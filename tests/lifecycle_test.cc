@@ -142,6 +142,40 @@ TEST(LifecycleTracker, EvictsOldestRecordWhenFull) {
   EXPECT_NE(descending.Find(Ctx(1, 1, 1).id), nullptr);
 }
 
+TEST(LifecycleTracker, RingWrapsAndEvictedIdsReturnFresh) {
+  Simulator sim;
+  LifecycleTracker tracker(&sim, /*max_messages=*/4);
+  // 11 ids, first observed out of id order, fill a 4-record ring and wrap it
+  // twice.  Each id is observed twice, so the second hits the index.
+  for (uint64_t seq : {5, 11, 2, 9, 1, 7, 3, 10, 4, 8, 6}) {
+    tracker.Observe(Ctx(1, 1, seq), LifecycleStage::kSent, NodeId{1});
+    tracker.Observe(Ctx(1, 1, seq), LifecycleStage::kOnWire, NodeId{1});
+  }
+  EXPECT_EQ(tracker.size(), 4u);
+  EXPECT_EQ(tracker.evicted(), 7u);
+  // The last 4 ids first observed, in id order.
+  std::vector<uint64_t> kept;
+  for (const LifecycleRecord& record : tracker.SortedRecords()) {
+    kept.push_back(record.id.sequence);
+    EXPECT_EQ(record.count[static_cast<size_t>(LifecycleStage::kSent)], 1u);
+    EXPECT_EQ(record.count[static_cast<size_t>(LifecycleStage::kOnWire)], 1u);
+  }
+  EXPECT_EQ(kept, (std::vector<uint64_t>{4, 6, 8, 10}));
+
+  // An evicted id observed again gets a fresh record, which evicts the
+  // oldest survivor (10).
+  tracker.Observe(Ctx(1, 1, 5), LifecycleStage::kDelivered, NodeId{2});
+  const LifecycleRecord* fresh = tracker.Find(Ctx(1, 1, 5).id);
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_FALSE(fresh->Saw(LifecycleStage::kSent));
+  EXPECT_TRUE(fresh->Saw(LifecycleStage::kDelivered));
+  EXPECT_EQ(fresh->dst_node, NodeId{2});
+  EXPECT_EQ(fresh->first_seq, tracker.observed());
+  EXPECT_EQ(tracker.evicted(), 8u);
+  EXPECT_EQ(tracker.Find(Ctx(1, 1, 10).id), nullptr);
+  EXPECT_NE(tracker.Find(Ctx(1, 1, 4).id), nullptr);
+}
+
 TEST(LifecycleTracker, TableExportsAreDeterministicAndValid) {
   // Two senders' ids, observed in descending order: every export lists them
   // ascending, byte for byte as a tracker fed the same ids ascending does.

@@ -160,6 +160,27 @@ TEST(Transport, NoteDeliveredSuppressesLaterLiveCopy) {
   EXPECT_EQ(net.endpoints[2]->stats().duplicates_suppressed, 1u);
 }
 
+TEST(Transport, RenotedIdKeepsOneCacheEntry) {
+  // The kernel re-notes every replayed message it accepts, including ones
+  // the transport already delivered.  A cache of 4 that has seen only 4
+  // distinct ids must still suppress a live copy of the first.
+  TransportOptions transport;
+  transport.dup_cache_size = 4;
+  Net net({}, transport);
+  net.endpoints[1]->Send(net.MakePacket(1, 2, 1));
+  net.sim.RunFor(Seconds(2));
+  net.endpoints[2]->NoteDelivered(MessageId{ProcessId{NodeId{1}, 9}, 1});
+  for (uint64_t seq = 2; seq <= 4; ++seq) {
+    net.endpoints[1]->Send(net.MakePacket(1, 2, seq));
+  }
+  net.sim.RunFor(Seconds(2));
+  ASSERT_EQ(net.received[2].size(), 4u);
+  net.endpoints[1]->Send(net.MakePacket(1, 2, 1));
+  net.sim.RunFor(Seconds(2));
+  EXPECT_EQ(net.received[2].size(), 4u);
+  EXPECT_EQ(net.endpoints[2]->stats().duplicates_suppressed, 1u);
+}
+
 TEST(Transport, UnreachableDestinationDoesNotBlockOthers) {
   Net net;
   net.endpoints[3]->set_online(false);
