@@ -1,11 +1,9 @@
 // Hot-path microbenchmarks for the zero-copy + event-loop rewrite.
 //
 // Measures, and persists to BENCH_hot_path.json:
-//   - raw simulator event throughput (events/sec) for the slab/intrusive-heap
-//     queue against an in-file reimplementation of the previous design
-//     (std::priority_queue of {when, id, std::function} with lazy
-//     cancellation bitsets), on the schedule/fire/cancel mix the transport
-//     layer actually generates;
+//   - raw simulator event throughput (events/sec) of the slab/intrusive-heap
+//     queue on the schedule/fire/cancel mix the transport layer actually
+//     generates;
 //   - end-to-end wall-clock ns per delivered frame on the full stack
 //     (ping-pong over the acknowledging ethernet with the recorder
 //     publishing every message);
@@ -20,19 +18,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <functional>
-#include <queue>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/common/buffer.h"
 #include "src/core/publishing_system.h"
 #include "src/obs/metrics.h"
-#include "src/sim/parallel.h"
 #include "src/sim/simulator.h"
 #include "tests/test_programs.h"
 
@@ -44,102 +38,11 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 }
 
 // ---------------------------------------------------------------------------
-// The previous event queue, reproduced verbatim in miniature: a
-// std::priority_queue of events carrying their std::function payload through
-// every sift, plus the two unbounded id-indexed bitsets that implemented
-// lazy cancellation.  Kept here as the baseline the rewrite is measured
-// against.
-// ---------------------------------------------------------------------------
-
-class LegacySimulator {
- public:
-  using Action = std::function<void()>;
-
-  SimTime Now() const { return now_; }
-
-  EventId ScheduleAt(SimTime when, Action action) {
-    EventId id{++next_id_};
-    queue_.push(Event{when, id.value, std::move(action)});
-    ++pending_;
-    return id;
-  }
-
-  EventId ScheduleAfter(SimDuration delay, Action action) {
-    return ScheduleAt(now_ + delay, std::move(action));
-  }
-
-  bool Cancel(EventId id) {
-    if (!id.IsValid() || id.value > next_id_) {
-      return false;
-    }
-    if (cancelled_.size() <= id.value) {
-      cancelled_.resize(next_id_ + 1, false);
-    }
-    if (fired_.size() <= id.value) {
-      fired_.resize(next_id_ + 1, false);
-    }
-    if (cancelled_[id.value] || fired_[id.value]) {
-      return false;
-    }
-    cancelled_[id.value] = true;
-    --pending_;
-    return true;
-  }
-
-  bool Step() {
-    while (!queue_.empty()) {
-      Event ev = queue_.top();
-      queue_.pop();
-      if (ev.id < cancelled_.size() && cancelled_[ev.id]) {
-        continue;
-      }
-      if (fired_.size() <= ev.id) {
-        fired_.resize(ev.id + 1, false);
-      }
-      fired_[ev.id] = true;
-      --pending_;
-      now_ = ev.when;
-      ev.action();
-      return true;
-    }
-    return false;
-  }
-
-  void Run() {
-    while (Step()) {
-    }
-  }
-
-  size_t pending_events() const { return pending_; }
-
- private:
-  struct Event {
-    SimTime when;
-    uint64_t id;
-    Action action;
-
-    bool operator<(const Event& other) const {
-      if (when != other.when) {
-        return when > other.when;
-      }
-      return id > other.id;
-    }
-  };
-
-  SimTime now_ = 0;
-  uint64_t next_id_ = 0;
-  size_t pending_ = 0;
-  std::priority_queue<Event> queue_;
-  std::vector<bool> cancelled_;
-  std::vector<bool> fired_;
-};
-
-// ---------------------------------------------------------------------------
 // Event churn workload: the mix the transport layer generates.  kChains
 // self-rescheduling handler chains (delivery -> next delivery), and per
 // firing one retransmission timer that is armed and then cancelled by the
 // "ack".  Handler captures are sized like real ones (header-ish payload),
-// within the rewrite's inline budget.
+// within SimCallback's inline budget.
 // ---------------------------------------------------------------------------
 
 struct HandlerContext {
@@ -149,9 +52,8 @@ struct HandlerContext {
   uint64_t attempt = 0;
 };
 
-template <typename Sim>
 struct ChurnDriver {
-  Sim* sim;
+  Simulator* sim;
   uint64_t limit = 0;
   uint64_t fired = 0;
 
@@ -170,10 +72,9 @@ struct ChurnDriver {
   }
 };
 
-template <typename Sim>
 double MeasureEventsPerSec(uint64_t total_events) {
-  Sim sim;
-  ChurnDriver<Sim> driver{&sim, total_events};
+  Simulator sim;
+  ChurnDriver driver{&sim, total_events};
   constexpr uint64_t kChains = 64;
   const auto start = std::chrono::steady_clock::now();
   for (uint64_t i = 0; i < kChains; ++i) {
@@ -189,22 +90,15 @@ double MeasureEventsPerSec(uint64_t total_events) {
 }
 
 void RunEventThroughput(BenchJson& json) {
-  PrintHeader("Simulator event throughput: slab heap vs legacy priority_queue");
+  PrintHeader("Simulator event throughput: slab heap");
   constexpr uint64_t kEvents = 2'000'000;
-  // Interleave and keep the best of 3 to shake out allocator warmup noise.
-  double best_new = 0.0;
-  double best_legacy = 0.0;
+  // Keep the best of 3 to shake out allocator warmup noise.
+  double best = 0.0;
   for (int round = 0; round < 3; ++round) {
-    best_legacy = std::max(best_legacy, MeasureEventsPerSec<LegacySimulator>(kEvents));
-    best_new = std::max(best_new, MeasureEventsPerSec<Simulator>(kEvents));
+    best = std::max(best, MeasureEventsPerSec(kEvents));
   }
-  const double ratio = best_new / best_legacy;
-  std::printf("  legacy queue : %12.0f events/sec\n", best_legacy);
-  std::printf("  slab heap    : %12.0f events/sec\n", best_new);
-  std::printf("  speedup      : %12.2fx\n", ratio);
-  json.Set("events_per_sec_legacy", best_legacy);
-  json.Set("events_per_sec_new", best_new);
-  json.Set("speedup_ratio", ratio);
+  std::printf("  slab heap    : %12.0f events/sec\n", best);
+  json.Set("events_per_sec_new", best);
 }
 
 // ---------------------------------------------------------------------------
@@ -314,155 +208,6 @@ void RunRecorderSaturation(BenchJson& json) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel engine sweep: the event-churn workload sharded over 8 domains
-// with periodic cross-domain handoffs, run at 1/2/4/8 workers.  Two gates:
-// every worker count must execute exactly the same number of events (the
-// engine's worker-invisibility contract, checked here on raw counters), and
-// with >= 4 hardware threads 4 workers must halve the 1-worker engine wall
-// time.  Wall numbers land under parallel.* in the JSON.
-// ---------------------------------------------------------------------------
-
-struct ParallelChurn {
-  std::vector<Simulator*> domains;
-  std::vector<uint64_t> fired;  // fired[d] is only touched by domain d's events.
-  uint64_t per_domain_limit = 0;
-
-  void Fire(size_t d, HandlerContext ctx) {
-    ++fired[d];
-    Simulator* sim = domains[d];
-    // Same schedule/cancel timer pair as the sequential churn workload.
-    EventId timer = sim->ScheduleAfter(Millis(250), [ctx] {
-      benchmark::DoNotOptimize(ctx.sequence);
-    });
-    sim->Cancel(timer);
-    if (fired[d] >= per_domain_limit) {
-      return;  // This domain is saturated; the chain ends here.
-    }
-    ctx.sequence += 1;
-    if (ctx.sequence % 16 == 0) {
-      // Hand the chain to the ring neighbour.  The delay must be >= the
-      // engine lookahead; using exactly the lookahead makes the handoff land
-      // on the first legal window, the worst case for the barrier.
-      const size_t next = (d + 1) % domains.size();
-      sim->ScheduleOnAfter(domains[next], Millis(64),
-                           [this, next, ctx](){ Fire(next, ctx); });
-    } else {
-      sim->ScheduleAfter(Millis(3) + static_cast<SimDuration>(ctx.src % 7),
-                         [this, d, ctx] { Fire(d, ctx); });
-    }
-  }
-};
-
-struct ParallelRun {
-  uint64_t fired = 0;
-  uint64_t events_executed = 0;
-  uint64_t run_wall_ns = 0;
-  uint64_t windows = 0;
-  uint64_t handoffs = 0;
-  uint64_t handoff_ring_spills = 0;
-};
-
-ParallelRun RunParallelChurn(size_t workers) {
-  constexpr size_t kDomains = 8;
-  constexpr uint64_t kFiringsPerDomain = 40'000;
-  Simulator root;
-  ParallelChurn churn;
-  for (size_t d = 0; d < kDomains; ++d) {
-    churn.domains.push_back(root.AddDomain());
-  }
-  churn.fired.assign(kDomains, 0);
-  churn.per_domain_limit = kFiringsPerDomain;
-  root.SetLookahead(Millis(64));
-  root.SetWorkers(workers);
-  for (size_t d = 0; d < kDomains; ++d) {
-    HandlerContext ctx{d, d ^ 1, 0, 0};
-    churn.domains[d]->ScheduleAfter(static_cast<SimDuration>(d),
-                                    [&churn, d, ctx] { churn.Fire(d, ctx); });
-  }
-  root.Run();
-  ParallelRun run;
-  for (uint64_t f : churn.fired) {
-    run.fired += f;
-  }
-  const auto& engine = root.core().engine_stats();
-  run.events_executed = engine.events_executed;
-  run.run_wall_ns = engine.run_wall_ns;
-  run.windows = engine.windows;
-  run.handoffs = engine.handoffs;
-  run.handoff_ring_spills = engine.handoff_ring_spills;
-  return run;
-}
-
-void RunParallelEngineSweep(BenchJson& json) {
-  PrintHeader("Parallel engine: 8-domain churn at 1/2/4/8 workers");
-  const unsigned hw = std::thread::hardware_concurrency();
-  std::printf("  %7s | %10s %9s | %9s %7s %8s | %7s\n", "workers", "events",
-              "wall ms", "events/s", "windows", "handoffs", "speedup");
-
-  uint64_t baseline_events = 0;
-  uint64_t baseline_wall_ns = 0;
-  double speedup4 = 0.0;
-  bool identical = true;
-  for (size_t workers : {1, 2, 4, 8}) {
-    const ParallelRun run = RunParallelChurn(workers);
-    if (workers == 1) {
-      baseline_events = run.events_executed;
-      baseline_wall_ns = run.run_wall_ns;
-    } else if (run.events_executed != baseline_events) {
-      std::fprintf(stderr,
-                   "hot_path: FAIL — %zu workers executed %llu events, 1 "
-                   "worker executed %llu\n",
-                   workers, static_cast<unsigned long long>(run.events_executed),
-                   static_cast<unsigned long long>(baseline_events));
-      identical = false;
-    }
-    const double wall_ms = static_cast<double>(run.run_wall_ns) / 1e6;
-    const double events_per_sec =
-        run.run_wall_ns > 0 ? static_cast<double>(run.events_executed) * 1e9 /
-                                  static_cast<double>(run.run_wall_ns)
-                            : 0.0;
-    const double speedup =
-        run.run_wall_ns > 0 ? static_cast<double>(baseline_wall_ns) /
-                                  static_cast<double>(run.run_wall_ns)
-                            : 0.0;
-    if (workers == 4) {
-      speedup4 = speedup;
-    }
-    std::printf("  %7zu | %10llu %9.1f | %9.0f %7llu %8llu | %6.2fx\n", workers,
-                static_cast<unsigned long long>(run.events_executed), wall_ms,
-                events_per_sec, static_cast<unsigned long long>(run.windows),
-                static_cast<unsigned long long>(run.handoffs), speedup);
-    const std::string prefix = "parallel.w" + std::to_string(workers) + ".";
-    json.Set(prefix + "events_executed", static_cast<double>(run.events_executed));
-    json.Set(prefix + "run_wall_ms", wall_ms);
-    json.Set(prefix + "events_per_sec", events_per_sec);
-    json.Set(prefix + "windows", static_cast<double>(run.windows));
-    json.Set(prefix + "handoffs", static_cast<double>(run.handoffs));
-    json.Set(prefix + "handoff_ring_spills",
-             static_cast<double>(run.handoff_ring_spills));
-    json.Set(prefix + "speedup_vs_w1", speedup);
-  }
-  json.Set("parallel.hardware_concurrency", static_cast<double>(hw));
-  if (!identical) {
-    std::exit(1);
-  }
-  std::printf("  event-count check     : PASS (all worker counts identical)\n");
-  if (hw >= 4) {
-    if (speedup4 < 2.0) {
-      std::fprintf(stderr,
-                   "hot_path: FAIL — 4 workers reached only %.2fx over 1 "
-                   "worker (gate: >= 2.0x on %u hardware threads)\n",
-                   speedup4, hw);
-      std::exit(1);
-    }
-    std::printf("  speedup gate          : PASS (%.2fx >= 2.0x at 4 workers)\n",
-                speedup4);
-  } else {
-    std::printf("  speedup gate          : skipped (%u hardware thread(s))\n", hw);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Determinism self-check: two identical instrumented runs (including a crash
 // and recovery) must serialize byte-identical metrics.
 // ---------------------------------------------------------------------------
@@ -512,24 +257,13 @@ void RunDeterminismCheck(BenchJson& json) {
 void BM_EventChurnSlabHeap(benchmark::State& state) {
   for (auto _ : state) {
     Simulator sim;
-    ChurnDriver<Simulator> driver{&sim, 100'000};
+    ChurnDriver driver{&sim, 100'000};
     sim.ScheduleAfter(0, [&driver] { driver.Fire(HandlerContext{}); });
     sim.Run();
     benchmark::DoNotOptimize(driver.fired);
   }
 }
 BENCHMARK(BM_EventChurnSlabHeap)->Unit(benchmark::kMillisecond);
-
-void BM_EventChurnLegacyQueue(benchmark::State& state) {
-  for (auto _ : state) {
-    LegacySimulator sim;
-    ChurnDriver<LegacySimulator> driver{&sim, 100'000};
-    sim.ScheduleAfter(0, [&driver] { driver.Fire(HandlerContext{}); });
-    sim.Run();
-    benchmark::DoNotOptimize(driver.fired);
-  }
-}
-BENCHMARK(BM_EventChurnLegacyQueue)->Unit(benchmark::kMillisecond);
 
 void BM_PingPongThousand(benchmark::State& state) {
   for (auto _ : state) {
@@ -546,7 +280,6 @@ int main(int argc, char** argv) {
   publishing::RunEventThroughput(json);
   publishing::RunFramePathBench(json);
   publishing::RunRecorderSaturation(json);
-  publishing::RunParallelEngineSweep(json);
   publishing::RunDeterminismCheck(json);
   json.Write();
   benchmark::Initialize(&argc, argv);

@@ -17,29 +17,21 @@
 // emitted so the sweep is self-describing.
 //
 // Emits BENCH_internetwork.json (flat, deterministic: virtual-time numbers
-// only, so two same-seed runs produce byte-identical files — CI diffs them,
-// including across PUBLISHING_WORKERS settings: the parallel engine must not
-// change a single virtual-time byte; the largest sweep point additionally
-// embeds its telemetry `timeline` and watchdog `alerts` sections, sampled in
-// virtual time and therefore equally byte-identical) plus internetwork_oracle_report.json
-// (the largest sweep point's oracle report).  A final worker-count sweep
-// (1/2/4/8 workers on the 4-segment point) measures wall-clock events/s and
-// writes BENCH_internetwork_workers.json — wall numbers, deliberately NOT
-// byte-diffed.  Exits non-zero if any conversation stalls, any invariant
-// trips, a multi-segment point never crosses a gateway, any worker count
-// changes the virtual-time results, or (with >= 4 hardware threads) 4
-// workers fail to reach 2x the 1-worker engine wall time.
+// only, so two same-seed runs produce byte-identical files — CI diffs them;
+// the largest sweep point additionally embeds its telemetry `timeline` and
+// watchdog `alerts` sections, sampled in virtual time and therefore equally
+// byte-identical) plus internetwork_oracle_report.json (the largest sweep
+// point's oracle report).  Exits non-zero if any conversation stalls, any
+// invariant trips, or a multi-segment point never crosses a gateway.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -68,15 +60,6 @@ constexpr size_t kWaves = 10;
 constexpr size_t kMaxUsersPerSegment = 2500;
 constexpr double kTargetSaturation = 0.15;
 
-size_t WorkersFromEnv() {
-  const char* env = std::getenv("PUBLISHING_WORKERS");
-  if (env == nullptr || *env == '\0') {
-    return 1;
-  }
-  const long parsed = std::strtol(env, nullptr, 10);
-  return parsed > 0 ? static_cast<size_t>(parsed) : 1;
-}
-
 struct SweepResult {
   size_t segments = 0;
   size_t users = 0;
@@ -92,16 +75,8 @@ struct SweepResult {
   // value instead of concentrating it.
   std::vector<double> segment_saturation;
   std::string oracle_report;
-  // Engine-level counters for the worker sweep (wall numbers: run_wall_ns is
-  // the time spent inside Run/RunUntil, events/s divides into it).
   uint64_t events_executed = 0;
-  uint64_t run_wall_ns = 0;
-  uint64_t windows = 0;
-  uint64_t window_events = 0;
   uint64_t handoffs = 0;
-  uint64_t handoff_ring_spills = 0;
-  uint64_t worker_busy_ns = 0;
-  uint64_t barrier_stall_ns = 0;
   // Telemetry timeline + watchdog verdict (with_timeline points only).
   std::string timeline_json;
   std::string alerts_json;
@@ -109,18 +84,13 @@ struct SweepResult {
 };
 
 // `with_timeline` attaches a metrics registry with a TelemetrySampler and
-// HealthWatchdog to the run.  A registry forces the engine sequential
-// (Internet::EnableObservability), and virtual time is worker-invariant, so
-// the exported timeline is byte-identical under any PUBLISHING_WORKERS — the
-// property parallel-smoke diffs.  The worker sweep never sets this: its
-// speedup gate needs the real parallel engine.
-SweepResult RunSweepPoint(size_t segments, size_t users_per_segment, size_t workers,
+// HealthWatchdog to the run.
+SweepResult RunSweepPoint(size_t segments, size_t users_per_segment,
                           bool with_timeline = false) {
   InternetConfig config;
   config.segments = segments;
   config.nodes_per_segment = kNodesPerSegment;
   config.seed = 7;
-  config.workers = workers;
   // No faults in this study, so the only retransmission trigger would be
   // queueing delay itself; push the timer far past any backlog a 2500-user
   // segment can build, or retransmit storms poison the latency numbers.
@@ -292,32 +262,9 @@ SweepResult RunSweepPoint(size_t segments, size_t users_per_segment, size_t work
   result.oracle_report = oracle.ReportJson();
   const auto& engine = net.sim().core().engine_stats();
   result.events_executed = engine.events_executed;
-  result.run_wall_ns = engine.run_wall_ns;
-  result.windows = engine.windows;
-  result.window_events = engine.window_events;
   result.handoffs = engine.handoffs;
-  result.handoff_ring_spills = engine.handoff_ring_spills;
-  result.worker_busy_ns = engine.worker_busy_ns;
-  result.barrier_stall_ns = engine.barrier_stall_ns;
   net.EnableObservability(Observability{});
   return result;
-}
-
-// Every virtual-time observable of one sweep point in one string: byte-equal
-// signatures are the worker-count-invariance check.
-std::string Signature(const SweepResult& r) {
-  char head[256];
-  std::snprintf(head, sizeof(head),
-                "segments=%zu users=%zu completed=%zu messages=%llu forwarded=%llu "
-                "drops=%llu violations=%llu events=%llu p50=%.17g p99=%.17g\n",
-                r.segments, r.users, r.completed,
-                static_cast<unsigned long long>(r.messages),
-                static_cast<unsigned long long>(r.forwarded),
-                static_cast<unsigned long long>(r.gateway_drops),
-                static_cast<unsigned long long>(r.violations),
-                static_cast<unsigned long long>(r.events_executed),
-                r.publish_ack_ms.p50(), r.publish_ack_ms.p99());
-  return std::string(head) + r.oracle_report;
 }
 
 // ---------------------------------------------------------------------------
@@ -336,8 +283,8 @@ struct Calibration {
 // population actually produces under this bench's wave workload, and scales
 // the population linearly to the target saturation budget.  Everything here
 // is virtual time, so the derived count is deterministic — same on every
-// machine and every worker count.
-Calibration CalibrateUsersPerSegment(size_t workers) {
+// machine.
+Calibration CalibrateUsersPerSegment() {
   Calibration cal;
   QueueingConfig qc;
   qc.op = StandardOperatingPoints()[0];
@@ -348,7 +295,7 @@ Calibration CalibrateUsersPerSegment(size_t workers) {
   // of magnitude past the model figure to get measurable saturation.
   cal.probe_users = static_cast<size_t>(capacity.max_users) * 4;
   cal.probe_users -= cal.probe_users % kWaves;
-  SweepResult probe = RunSweepPoint(1, cal.probe_users, workers);
+  SweepResult probe = RunSweepPoint(1, cal.probe_users);
   double sat = 0.0;
   for (double s : probe.segment_saturation) {
     sat = std::max(sat, s);
@@ -363,7 +310,7 @@ Calibration CalibrateUsersPerSegment(size_t workers) {
   return cal;
 }
 
-int RunStudy(const Calibration& cal, size_t workers) {
+int RunStudy(const Calibration& cal) {
   BenchJson json("internetwork");
   PrintHeader("Internetwork scaling: users vs segments (ring topology)");
 
@@ -385,12 +332,9 @@ int RunStudy(const Calibration& cal, size_t workers) {
   bool failed = false;
   std::string largest_report;
   for (size_t segments : {1, 2, 4, 8}) {
-    // The largest point also carries the telemetry timeline + watchdog; the
-    // registry forces it sequential, so the exported sections are identical
-    // under every PUBLISHING_WORKERS value (parallel-smoke byte-diffs them).
+    // The largest point also carries the telemetry timeline + watchdog.
     const bool with_timeline = segments == 8;
-    SweepResult r =
-        RunSweepPoint(segments, cal.users_per_segment, workers, with_timeline);
+    SweepResult r = RunSweepPoint(segments, cal.users_per_segment, with_timeline);
     double sat_max = 0.0;
     for (double sat : r.segment_saturation) {
       sat_max = std::max(sat_max, sat);
@@ -412,8 +356,6 @@ int RunStudy(const Calibration& cal, size_t workers) {
     json.Set(prefix + "oracle_violations", static_cast<double>(r.violations));
     json.SetStats(prefix + "publish_ack_ms.", r.publish_ack_ms);
     json.Set(prefix + "saturation_max", sat_max);
-    // Worker-invariant engine counters only: this file is byte-diffed across
-    // PUBLISHING_WORKERS, and windows/spills depend on the engine mode.
     json.Set(prefix + "engine.events_executed",
              static_cast<double>(r.events_executed));
     json.Set(prefix + "engine.handoffs", static_cast<double>(r.handoffs));
@@ -475,99 +417,6 @@ int RunStudy(const Calibration& cal, size_t workers) {
   return failed ? 1 : 0;
 }
 
-// ---------------------------------------------------------------------------
-// Worker-count sweep (wall clock, written to a separate JSON file)
-// ---------------------------------------------------------------------------
-
-// Re-runs the 4-segment point at 1/2/4/8 workers.  Two gates:
-//   1. Virtual-time invariance (always): every worker count must reproduce
-//      the 1-worker signature byte for byte.
-//   2. Speedup (only with >= 4 hardware threads): 4 workers on 4 segments
-//      must halve the 1-worker engine wall time.
-int RunWorkerSweep(size_t users_per_segment) {
-  constexpr size_t kSweepSegments = 4;
-  const unsigned hw = std::thread::hardware_concurrency();
-  BenchJson json("internetwork_workers");
-  PrintHeader("Parallel engine: worker-count sweep (4 segments, wall clock)");
-  std::printf("  %7s | %10s %9s | %8s %7s %8s | %7s\n", "workers", "events",
-              "wall ms", "events/s", "windows", "handoffs", "speedup");
-  PrintRule();
-
-  bool failed = false;
-  std::string baseline_signature;
-  uint64_t baseline_wall_ns = 0;
-  double speedup4 = 0.0;
-  for (size_t workers : {1, 2, 4, 8}) {
-    SweepResult r = RunSweepPoint(kSweepSegments, users_per_segment, workers);
-    const std::string signature = Signature(r);
-    if (workers == 1) {
-      baseline_signature = signature;
-      baseline_wall_ns = r.run_wall_ns;
-    } else if (signature != baseline_signature) {
-      std::fprintf(stderr,
-                   "bench_internetwork: %zu workers diverged from the "
-                   "sequential run:\n--- 1 worker ---\n%s\n--- %zu workers ---\n%s\n",
-                   workers, baseline_signature.c_str(), workers,
-                   signature.c_str());
-      failed = true;
-    }
-    const double wall_ms = static_cast<double>(r.run_wall_ns) / 1e6;
-    const double events_per_sec =
-        r.run_wall_ns > 0 ? static_cast<double>(r.events_executed) * 1e9 /
-                                static_cast<double>(r.run_wall_ns)
-                          : 0.0;
-    const double speedup =
-        r.run_wall_ns > 0 ? static_cast<double>(baseline_wall_ns) /
-                                static_cast<double>(r.run_wall_ns)
-                          : 0.0;
-    if (workers == 4) {
-      speedup4 = speedup;
-    }
-    std::printf("  %7zu | %10llu %9.1f | %8.0f %7llu %8llu | %6.2fx\n", workers,
-                static_cast<unsigned long long>(r.events_executed), wall_ms,
-                events_per_sec, static_cast<unsigned long long>(r.windows),
-                static_cast<unsigned long long>(r.handoffs), speedup);
-
-    const std::string prefix = "w" + std::to_string(workers) + ".";
-    json.Set(prefix + "workers", static_cast<double>(workers));
-    json.Set(prefix + "events_executed", static_cast<double>(r.events_executed));
-    json.Set(prefix + "run_wall_ms", wall_ms);
-    json.Set(prefix + "events_per_sec", events_per_sec);
-    json.Set(prefix + "windows", static_cast<double>(r.windows));
-    json.Set(prefix + "window_events", static_cast<double>(r.window_events));
-    json.Set(prefix + "handoffs", static_cast<double>(r.handoffs));
-    json.Set(prefix + "handoff_ring_spills",
-             static_cast<double>(r.handoff_ring_spills));
-    json.Set(prefix + "worker_busy_ms",
-             static_cast<double>(r.worker_busy_ns) / 1e6);
-    json.Set(prefix + "barrier_stall_ms",
-             static_cast<double>(r.barrier_stall_ns) / 1e6);
-    json.Set(prefix + "speedup_vs_w1", speedup);
-    json.Set(prefix + "identical_to_w1",
-             workers == 1 || signature == baseline_signature ? 1.0 : 0.0);
-  }
-  PrintRule();
-  json.Set("hardware_concurrency", static_cast<double>(hw));
-
-  if (hw >= 4) {
-    std::printf("  speedup gate: 4 workers %.2fx over 1 worker (need >= 2.0x)\n\n",
-                speedup4);
-    if (speedup4 < 2.0) {
-      std::fprintf(stderr,
-                   "bench_internetwork: 4 workers reached only %.2fx over 1 "
-                   "worker (gate: >= 2.0x on %u hardware threads)\n",
-                   speedup4, hw);
-      failed = true;
-    }
-  } else {
-    std::printf("  speedup gate skipped: only %u hardware thread(s); "
-                "virtual-time identity still enforced.\n\n", hw);
-  }
-
-  json.Write();
-  return failed ? 1 : 0;
-}
-
 // Timing section: the steady-state cost of one cross-segment conversation on
 // a small ring, per ping round-trip.
 void BM_CrossSegmentPingPong(benchmark::State& state) {
@@ -599,11 +448,8 @@ BENCHMARK(BM_CrossSegmentPingPong);
 }  // namespace publishing
 
 int main(int argc, char** argv) {
-  const size_t workers = publishing::WorkersFromEnv();
-  const publishing::Calibration cal =
-      publishing::CalibrateUsersPerSegment(workers);
-  int status = publishing::RunStudy(cal, workers);
-  status |= publishing::RunWorkerSweep(cal.users_per_segment);
+  const publishing::Calibration cal = publishing::CalibrateUsersPerSegment();
+  const int status = publishing::RunStudy(cal);
   if (status != 0) {
     return status;
   }

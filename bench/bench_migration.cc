@@ -600,7 +600,7 @@ void RunOverloadStudy(BenchJson& json) {
   // virtual-time numbers only, so two same-seed runs stay identical.
   json.SetRawJson("timeline", sampler.ToJson());
   json.SetRawJson("alerts", watchdog.AlertsJson());
-  json.SetEngineStats(net.sim().core().engine_stats(), /*include_wall=*/false);
+  json.SetEngineStats(net.sim().core().engine_stats());
 
   rig.lifecycle.AttachFlightRecorder(nullptr);
 }

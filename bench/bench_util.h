@@ -44,26 +44,10 @@ class BenchJson {
     raw_[key] = std::move(json);
   }
 
-  // The engine's introspection counters as first-class bench keys.  Wall-
-  // clock fields only with `include_wall` — byte-diffed artifacts must stay
-  // run-invariant, and `windows`/`spills`/`window_events` only with
-  // `include_mode_dependent` — they differ between the sequential and
-  // parallel engines, so worker-count-diffed artifacts exclude them.
-  void SetEngineStats(const SimCore::EngineStats& stats, bool include_wall,
-                      bool include_mode_dependent = true) {
+  // The engine's introspection counters as first-class bench keys.
+  void SetEngineStats(const SimCore::EngineStats& stats) {
     Set("engine.events_executed", static_cast<double>(stats.events_executed));
     Set("engine.handoffs", static_cast<double>(stats.handoffs));
-    if (include_mode_dependent) {
-      Set("engine.windows", static_cast<double>(stats.windows));
-      Set("engine.window_events", static_cast<double>(stats.window_events));
-      Set("engine.handoff_ring_spills", static_cast<double>(stats.handoff_ring_spills));
-      Set("engine.parallel_runs", static_cast<double>(stats.parallel_runs));
-    }
-    if (include_wall) {
-      Set("engine.run_wall_ns", static_cast<double>(stats.run_wall_ns));
-      Set("engine.worker_busy_ns", static_cast<double>(stats.worker_busy_ns));
-      Set("engine.barrier_stall_ns", static_cast<double>(stats.barrier_stall_ns));
-    }
   }
 
   // Expands one sample distribution into the standard summary keys

@@ -1,56 +1,32 @@
 #include "src/common/buffer.h"
 
-#include <atomic>
-
 namespace publishing {
 
 namespace {
-// Buffers are copied and shared from simulation worker threads (the parallel
-// engine, src/sim/parallel.h), so the process-wide accounting uses relaxed
-// atomics: per-counter totals stay exact, and every read happens while the
-// workers are quiesced.  The metrics sink stays plain — attaching one forces
-// the engine sequential (metrics sinks are single-threaded by policy).
-struct AtomicBufferStats {
-  std::atomic<uint64_t> bytes_copied{0};
-  std::atomic<uint64_t> bytes_shared{0};
-  std::atomic<uint64_t> copies{0};
-  std::atomic<uint64_t> shares{0};
-};
-AtomicBufferStats g_stats;
+// Process-wide copy/share accounting (GetBufferStats) plus the optional sink.
+BufferStats g_stats;
 BufferStatsSink* g_sink = nullptr;
 
 void NoteCopy(uint64_t bytes) {
-  g_stats.bytes_copied.fetch_add(bytes, std::memory_order_relaxed);
-  g_stats.copies.fetch_add(1, std::memory_order_relaxed);
+  g_stats.bytes_copied += bytes;
+  ++g_stats.copies;
   if (g_sink != nullptr) {
     g_sink->OnBufferCopy(bytes);
   }
 }
 
 void NoteShare(uint64_t bytes) {
-  g_stats.bytes_shared.fetch_add(bytes, std::memory_order_relaxed);
-  g_stats.shares.fetch_add(1, std::memory_order_relaxed);
+  g_stats.bytes_shared += bytes;
+  ++g_stats.shares;
   if (g_sink != nullptr) {
     g_sink->OnBufferShare(bytes);
   }
 }
 }  // namespace
 
-BufferStats GetBufferStats() {
-  BufferStats snapshot;
-  snapshot.bytes_copied = g_stats.bytes_copied.load(std::memory_order_relaxed);
-  snapshot.bytes_shared = g_stats.bytes_shared.load(std::memory_order_relaxed);
-  snapshot.copies = g_stats.copies.load(std::memory_order_relaxed);
-  snapshot.shares = g_stats.shares.load(std::memory_order_relaxed);
-  return snapshot;
-}
+BufferStats GetBufferStats() { return g_stats; }
 
-void ResetBufferStats() {
-  g_stats.bytes_copied.store(0, std::memory_order_relaxed);
-  g_stats.bytes_shared.store(0, std::memory_order_relaxed);
-  g_stats.copies.store(0, std::memory_order_relaxed);
-  g_stats.shares.store(0, std::memory_order_relaxed);
-}
+void ResetBufferStats() { g_stats = BufferStats{}; }
 
 void SetBufferStatsSink(BufferStatsSink* sink) { g_sink = sink; }
 

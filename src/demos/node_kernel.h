@@ -26,8 +26,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -69,26 +67,14 @@ class ReadOrderFeed {
 };
 
 // Cluster-wide process location registry (models the kernels' routing
-// tables, §4.3.3).  Updated on creation, destruction, and recovery.
-// Shared across every kernel of an internetwork, including kernels running on
-// different simulation workers, so the table is guarded by a shared mutex:
-// Locate (every send) takes the shared side, writes take the exclusive side.
-// Writes are control-plane operations (spawn, destroy, recovery, migration)
-// that the parallel engine serializes on the control domain, so lookups are
-// deterministic: within a safe window the table is effectively read-only.
+// tables, §4.3.3).  Updated on creation, destruction, and recovery; shared
+// across every kernel of an internetwork.
 class NameService {
  public:
-  void SetLocation(const ProcessId& pid, NodeId node) {
-    std::unique_lock lock(mu_);
-    table_[pid] = node;
-  }
-  void Remove(const ProcessId& pid) {
-    std::unique_lock lock(mu_);
-    table_.erase(pid);
-  }
+  void SetLocation(const ProcessId& pid, NodeId node) { table_[pid] = node; }
+  void Remove(const ProcessId& pid) { table_.erase(pid); }
 
   Result<NodeId> Locate(const ProcessId& pid) const {
-    std::shared_lock lock(mu_);
     auto it = table_.find(pid);
     if (it == table_.end()) {
       return Status(StatusCode::kNotFound, "no location for " + ToString(pid));
@@ -97,7 +83,6 @@ class NameService {
   }
 
  private:
-  mutable std::shared_mutex mu_;
   std::unordered_map<ProcessId, NodeId> table_;
 };
 

@@ -57,7 +57,7 @@ void Gateway::SetDown(bool down) {
   down_ = down;
   if (down_) {
     for (auto& egress : egresses_) {
-      control_stats_.dropped_down += egress->queue.size();
+      stats_.dropped_down += egress->queue.size();
       if (obs_dropped_down_ != nullptr) {
         obs_dropped_down_->Add(egress->queue.size());
       }
@@ -72,22 +72,6 @@ void Gateway::SetDown(bool down) {
   }
 }
 
-GatewayStats Gateway::stats() const {
-  GatewayStats sum = control_stats_;
-  for (const auto& egress : egresses_) {
-    const GatewayStats* parts[] = {&egress->ingress_stats, &egress->forward_stats};
-    for (const GatewayStats* part : parts) {
-      sum.frames_forwarded += part->frames_forwarded;
-      sum.bytes_forwarded += part->bytes_forwarded;
-      sum.dropped_queue_full += part->dropped_queue_full;
-      sum.dropped_down += part->dropped_down;
-      sum.ignored_not_owner += part->ignored_not_owner;
-      sum.ignored_unroutable += part->ignored_unroutable;
-    }
-  }
-  return sum;
-}
-
 Gateway::Egress* Gateway::FindEgress(size_t segment) {
   for (auto& egress : egresses_) {
     if (egress->segment == segment) {
@@ -98,9 +82,6 @@ Gateway::Egress* Gateway::FindEgress(size_t segment) {
 }
 
 void Gateway::OnIngress(size_t segment, const Frame& frame) {
-  // The port we heard the frame on; every counter this function touches
-  // lives there, so parallel segment domains never write the same struct.
-  Egress* ingress = FindEgress(segment);
   const int32_t dst_segment =
       frame.dst == kBroadcastNode ? -1 : map_->SegmentOf(frame.dst);
   if (dst_segment < 0 || static_cast<size_t>(dst_segment) == segment) {
@@ -109,19 +90,19 @@ void Gateway::OnIngress(size_t segment, const Frame& frame) {
   }
   auto hop = map_->Route(segment, static_cast<size_t>(dst_segment));
   if (!hop.has_value()) {
-    ++ingress->ingress_stats.ignored_unroutable;
+    ++stats_.ignored_unroutable;
     return;
   }
   if (hop->gateway != index_) {
     // The designated next hop is another gateway; staying silent here is
     // what guarantees no frame is forwarded twice.
-    ++ingress->ingress_stats.ignored_not_owner;
+    ++stats_.ignored_not_owner;
     return;
   }
   if (down_) {
     // The supervisor still routes through us but we are dead: the frame is
     // lost until the map reroutes or we restart (retransmission covers it).
-    ++ingress->ingress_stats.dropped_down;
+    ++stats_.dropped_down;
     if (obs_dropped_down_ != nullptr) {
       obs_dropped_down_->Add(1);
     }
@@ -129,25 +110,23 @@ void Gateway::OnIngress(size_t segment, const Frame& frame) {
   }
   Egress* egress = FindEgress(hop->egress);
   if (egress == nullptr) {
-    ++ingress->ingress_stats.ignored_unroutable;
+    ++stats_.ignored_unroutable;
     return;
   }
   const size_t wire_bytes = frame.WireBytes();
   if (egress->queue.size() >= options_.max_queue_frames ||
       egress->queued_bytes + wire_bytes > options_.max_queue_bytes) {
     // Bounded store-and-forward: drop and let the end-to-end retransmission
-    // back-pressure the sender.  The loss charges the ingress side — it is
-    // this domain's event, and the forward side may be mid-drain elsewhere.
-    ++ingress->ingress_stats.dropped_queue_full;
+    // back-pressure the sender.
+    ++stats_.dropped_queue_full;
     if (obs_dropped_queue_full_ != nullptr) {
       obs_dropped_queue_full_->Add(1);
     }
     return;
   }
   // The frame's payload and gather segments are shared buffers — queueing is
-  // a refcount bump, not a copy.  The egress's forward-side state (queue and
-  // pacing timer) runs on the ingress domain: with two ports exactly one
-  // segment feeds each egress, so the writer is unique.
+  // a refcount bump, not a copy.  The pacing timer runs on the ingress
+  // segment's domain.
   egress->queue.emplace_back(frame, segment);
   egress->queued_bytes += wire_bytes;
   if (egress->depth_gauge != nullptr) {
@@ -155,7 +134,7 @@ void Gateway::OnIngress(size_t segment, const Frame& frame) {
   }
   if (!egress->draining) {
     egress->draining = true;
-    egress->drain_sim = ingress->medium->sim();
+    egress->drain_sim = FindEgress(segment)->medium->sim();
     for (size_t i = 0; i < egresses_.size(); ++i) {
       if (egresses_[i].get() == egress) {
         egress->drain_sim->ScheduleAfter(options_.forward_latency,
@@ -180,8 +159,8 @@ void Gateway::DrainOne(size_t egress_index) {
     egress.depth_gauge->Set(static_cast<double>(egress.queue.size()));
   }
 
-  ++egress.forward_stats.frames_forwarded;
-  egress.forward_stats.bytes_forwarded += frame.WireBytes();
+  ++stats_.frames_forwarded;
+  stats_.bytes_forwarded += frame.WireBytes();
   if (obs_forwarded_ != nullptr) {
     obs_forwarded_->Add(1);
     obs_bytes_forwarded_->Add(frame.WireBytes());
@@ -195,8 +174,7 @@ void Gateway::DrainOne(size_t egress_index) {
                                  static_cast<int32_t>(egress.segment));
   }
   // The actual egress transmission crosses into the egress segment's domain
-  // after handoff_latency — the gateway's only cross-domain effect, and what
-  // the engine's conservative lookahead is derived from.
+  // after handoff_latency — the gateway's only cross-domain effect.
   egress.drain_sim->ScheduleOnAfter(
       egress.medium->sim(), options_.handoff_latency,
       [medium = egress.medium, f = std::move(frame)]() mutable {

@@ -18,17 +18,11 @@
 // publishes it there, which is what keeps the responsibility invariant true
 // across segments.
 //
-// Parallel-engine partitioning (DESIGN.md §15): with per-segment simulation
-// domains, a gateway is the only object shared between two domains, so its
-// state is split by writer.  Everything reached from an ingress event on
-// segment A — the ingress-side counters of port A, plus the queue, pacing
-// timer, and forward counters of the egress port A feeds — is owned by
-// domain A; the final `Medium::Send` onto the egress segment crosses domains
-// through `Simulator::ScheduleOnAfter` with `handoff_latency` (>= the engine
-// lookahead, it is the engine lookahead for an internetwork).  `stats()`
-// merges the per-port structs on read.  This writer split is exact for the
-// two-port gateways `Internet` builds; attach wider gateways only under
-// `workers=1`.
+// Simulation domains (DESIGN.md §15): every segment runs on its own domain.
+// The queue and pacing timer of an egress run on the domain of the segment
+// that fed it (`drain_sim`); the final `Medium::Send` onto the egress segment
+// crosses domains through `Simulator::ScheduleOnAfter` after
+// `handoff_latency`.
 
 #ifndef SRC_INTERNET_GATEWAY_H_
 #define SRC_INTERNET_GATEWAY_H_
@@ -52,10 +46,7 @@ struct GatewayOptions {
   // the pacing interval between successive forwards on one egress.
   SimDuration forward_latency = MillisF(0.2);
   // Latency of the cross-domain hop that puts the frame onto the egress
-  // segment (the wire-transfer half of store-and-forward).  This is the
-  // conservative lookahead of the parallel engine: no gateway may affect
-  // another segment sooner than this, so safe windows can span it.  Raising
-  // it widens windows (fewer barriers); it must stay >= the engine lookahead.
+  // segment (the wire-transfer half of store-and-forward).
   SimDuration handoff_latency = MillisF(0.2);
 };
 
@@ -85,25 +76,20 @@ class Gateway {
   // retransmission recovers them once a route exists again) and new ingress
   // is ignored.  The SegmentMap is NOT updated here — the supervisor does
   // that separately, which lets tests model the window where the map still
-  // routes through a dead gateway.  Control-plane only: call between runs or
-  // from control-domain events, never from a segment event.
+  // routes through a dead gateway.
   void SetDown(bool down);
   bool down() const { return down_; }
 
   NodeId node() const { return node_; }
   size_t index() const { return index_; }
 
-  // Merged view of the per-port counters (the ports tally independently so
-  // segment domains never share a written cache line).
-  GatewayStats stats() const;
+  const GatewayStats& stats() const { return stats_; }
 
   // Resolves the gateway's instruments under `gateway.*{gateway=label}` —
   // including one `gateway.queue_depth{gateway,egress}` gauge per attached
   // egress, updated on every enqueue/drain/flush — and keeps the lifecycle
   // tracker for kForwarded observations.  Attach every segment before
-  // enabling observability so each egress gets its gauge.  Metrics sinks are
-  // single-threaded; attaching one forces the engine sequential (the
-  // Internet observability policy).
+  // enabling observability so each egress gets its gauge.
   void SetObservability(const Observability& obs, std::string_view label);
 
  private:
@@ -121,19 +107,14 @@ class Gateway {
     Medium* medium = nullptr;
     std::unique_ptr<Port> port;
 
-    // Ingress side of this port: counters for frames that arrived *on* this
-    // segment.  Written only by events on this segment's domain.
-    GatewayStats ingress_stats;
-
-    // Store-and-forward state *toward* this segment.  Written only by the
-    // domain of the port that feeds this egress (the gateway's other port);
-    // `drain_sim` is that feeding domain's simulator, latched at enqueue.
-    // Queued frames carry their ingress segment (for the forwarded stage).
+    // Store-and-forward state *toward* this segment.  `drain_sim` is the
+    // domain of the segment that fed the queue, latched at enqueue: the
+    // pacing timer runs there.  Queued frames carry their ingress segment
+    // (for the forwarded stage).
     std::deque<std::pair<Frame, size_t>> queue;
     size_t queued_bytes = 0;
     bool draining = false;
     Simulator* drain_sim = nullptr;
-    GatewayStats forward_stats;
     Gauge* depth_gauge = nullptr;  // gateway.queue_depth{gateway,egress}.
   };
 
@@ -148,7 +129,7 @@ class Gateway {
   GatewayOptions options_;
   bool down_ = false;
   std::vector<std::unique_ptr<Egress>> egresses_;
-  GatewayStats control_stats_;  // SetDown flushes; control-plane writes only.
+  GatewayStats stats_;
 
   // Observability handles (null = detached).
   LifecycleTracker* lifecycle_ = nullptr;

@@ -36,11 +36,9 @@ std::unique_ptr<Medium> Internet::MakeMedium(Simulator* sim) {
 Internet::Internet(InternetConfig config) : config_(std::move(config)) {
   // Segments first: each one is a self-contained publishing domain — medium,
   // recorder, storage, kernels, and a recovery manager scoped to the
-  // segment's own nodes through its SegmentDirectory.
-  // Every segment gets its own simulation domain whether or not worker
-  // threads are requested, so the event schedule (seq numbers, handoffs,
-  // observation order) is a function of the topology alone — the invariant
-  // behind 1-worker vs N-worker byte-identical output.
+  // segment's own nodes through its SegmentDirectory.  Every segment gets
+  // its own simulation domain, so the event schedule (seq numbers, handoffs,
+  // observation order) is a function of the topology alone.
   for (size_t k = 0; k < config_.segments; ++k) {
     auto segment = std::make_unique<Segment>();
     segment->recorder_node = SegmentRecorderNode(k);
@@ -65,9 +63,8 @@ Internet::Internet(InternetConfig config) : config_(std::move(config)) {
     KernelOptions kernel_options = config_.kernel;
     kernel_options.recorder_node = segment->recorder_node;
     // The directory hands the ROOT simulator to the recovery manager: its
-    // periodic scans and replay drives are control-plane work that must run
-    // between safe windows, with every worker quiesced, because a replay
-    // touches the segment's kernels and recorder directly.
+    // periodic scans and replay drives are control-plane work on the control
+    // domain, which touches the segment's kernels and recorder directly.
     segment->directory = std::make_unique<SegmentDirectory>(&sim_, &names_);
     for (size_t i = 0; i < config_.nodes_per_segment; ++i) {
       const NodeId node = ProcessingNode(k, i);
@@ -107,12 +104,6 @@ Internet::Internet(InternetConfig config) : config_(std::move(config)) {
   if (config_.ring_topology && config_.segments >= 2) {
     add_gateway(config_.segments - 1, 0);
   }
-
-  // The engine's conservative lookahead is the gateway handoff latency: no
-  // event in one segment can affect another sooner than the store-and-forward
-  // hop, so a worker may run its segment that far ahead of the others.
-  sim_.SetLookahead(config_.gateway.handoff_latency);
-  sim_.SetWorkers(config_.workers);
 
   log_time_token_ = SetLogTimeSource([this] { return sim_.Now(); });
 }
@@ -228,15 +219,6 @@ bool Internet::RunUntilRecovered(const ProcessId& pid, SimDuration deadline) {
 
 void Internet::EnableObservability(const Observability& obs) {
   obs_ = obs;
-  // Metrics registries and tracers are single-threaded sinks with no
-  // deterministic parallel merge (reservoir sampling, span ids), so either
-  // one forces sequential execution.  Lifecycle/oracle/flight observations
-  // go through the engine's capture-replay path and keep the workers.
-  if (obs.metrics != nullptr || obs.tracer != nullptr) {
-    sim_.SetWorkers(1);
-  } else {
-    sim_.SetWorkers(config_.workers);
-  }
   sim_.SetObservability(obs);
   for (size_t k = 0; k < segments_.size(); ++k) {
     Segment& segment = *segments_[k];

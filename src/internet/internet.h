@@ -67,13 +67,9 @@ struct InternetConfig {
   GatewayOptions gateway;
   bool start_recovery_managers = true;
 
-  // Simulation worker threads (src/sim/parallel.h).  Each segment always
-  // gets its own simulation domain — the domain structure (and therefore
-  // every seq number, handoff, and observation) is identical for every
-  // worker count, which is what makes `workers=1` and `workers=N` produce
-  // byte-identical output for the same seed.  The engine clamps to
-  // min(workers, segments); attaching a metrics registry or tracer forces 1
-  // (those sinks are single-threaded and have no deterministic merge).
+  // Unused: the engine runs every segment's domain in one sequential loop
+  // (src/sim/parallel.h).  Kept because perfbench/workloads.cc still
+  // assigns it; any value gives the same run.
   size_t workers = 1;
 };
 

@@ -1,43 +1,15 @@
 #include "src/obs/lifecycle.h"
 
 #include <algorithm>
-#include <cstring>
-#include <type_traits>
 #include <utility>
 
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
 #include "src/obs/oracle.h"
 #include "src/obs/trace.h"
-#include "src/sim/parallel.h"
 #include "src/sim/simulator.h"
 
 namespace publishing {
-
-namespace {
-
-// Worker-context capture payload: one flat struct covers every hook that can
-// fire inside a safe window (Observe, ObserveForwarded, ObserveMigrated, and
-// NoteProcessReset, which only uses `process`).  The observation time rides
-// in the enclosing SimObsRecord.
-struct CapturedLifecycle {
-  CausalContext ctx;
-  LifecycleStage stage = LifecycleStage::kSent;
-  NodeId node;
-  ProcessId process;
-  int32_t from_segment = -1;
-  int32_t to_segment = -1;
-};
-
-constexpr uint8_t kCaptureObserve = 0;
-constexpr uint8_t kCaptureReset = 1;
-
-static_assert(std::is_trivially_copyable_v<CapturedLifecycle>,
-              "capture payload must memcpy cleanly");
-static_assert(sizeof(CapturedLifecycle) <= SimObsRecord::kPayloadBytes,
-              "capture payload exceeds SimObsRecord::payload");
-
-}  // namespace
 
 const char* LifecycleStageName(LifecycleStage stage) {
   switch (stage) {
@@ -99,64 +71,6 @@ void LifecycleTracker::AttachMetrics(MetricsRegistry* metrics) {
   evictions_ = metrics->GetCounter("lifecycle.evictions");
 }
 
-bool LifecycleTracker::TryCapture(const CausalContext& ctx, LifecycleStage stage,
-                                  NodeId node, ProcessId process,
-                                  int32_t from_segment, int32_t to_segment) {
-  if (!SimCore::InWorkerContext()) {
-    return false;
-  }
-  CapturedLifecycle cap;
-  cap.ctx = ctx;
-  cap.stage = stage;
-  cap.node = node;
-  cap.process = process;
-  cap.from_segment = from_segment;
-  cap.to_segment = to_segment;
-  SimObsRecord rec;
-  rec.apply = &LifecycleTracker::ApplyCaptured;
-  rec.sink = this;
-  rec.time = SimCore::WorkerNow();
-  rec.kind = kCaptureObserve;
-  std::memcpy(rec.payload, &cap, sizeof(cap));
-  SimCore::CaptureObs(rec);
-  return true;
-}
-
-bool LifecycleTracker::TryCaptureReset(const ProcessId& pid) {
-  if (!SimCore::InWorkerContext()) {
-    return false;
-  }
-  CapturedLifecycle cap;
-  cap.process = pid;
-  SimObsRecord rec;
-  rec.apply = &LifecycleTracker::ApplyCaptured;
-  rec.sink = this;
-  rec.time = SimCore::WorkerNow();
-  rec.kind = kCaptureReset;
-  std::memcpy(rec.payload, &cap, sizeof(cap));
-  SimCore::CaptureObs(rec);
-  return true;
-}
-
-void LifecycleTracker::ApplyCaptured(const SimObsRecord& rec) {
-  auto* self = static_cast<LifecycleTracker*>(rec.sink);
-  CapturedLifecycle cap;
-  std::memcpy(&cap, rec.payload, sizeof(cap));
-  if (rec.kind == kCaptureReset) {
-    self->NoteProcessReset(cap.process);
-    return;
-  }
-  LifecycleEvent event;
-  event.ctx = cap.ctx;
-  event.stage = cap.stage;
-  event.time = rec.time;
-  event.node = cap.node;
-  event.process = cap.process;
-  event.from_segment = cap.from_segment;
-  event.to_segment = cap.to_segment;
-  self->ObserveEvent(event);
-}
-
 LifecycleRecord& LifecycleTracker::FindOrCreate(const CausalContext& ctx) {
   if (const uint64_t* position = index_.find(ctx.id)) {
     return records_[*position - evicted_];
@@ -182,9 +96,6 @@ void LifecycleTracker::Observe(const CausalContext& ctx, LifecycleStage stage,
   if (!ctx.valid()) {
     return;
   }
-  if (TryCapture(ctx, stage, node, process, -1, -1)) {
-    return;
-  }
   LifecycleEvent event;
   event.ctx = ctx;
   event.stage = stage;
@@ -197,9 +108,6 @@ void LifecycleTracker::Observe(const CausalContext& ctx, LifecycleStage stage,
 void LifecycleTracker::ObserveForwarded(const CausalContext& ctx, NodeId node,
                                         int32_t from_segment, int32_t to_segment) {
   if (!ctx.valid()) {
-    return;
-  }
-  if (TryCapture(ctx, LifecycleStage::kForwarded, node, {}, from_segment, to_segment)) {
     return;
   }
   LifecycleEvent event;
@@ -292,9 +200,6 @@ void LifecycleTracker::ObserveMigrated(const CausalContext& ctx, NodeId node,
   if (!ctx.valid()) {
     return;
   }
-  if (TryCapture(ctx, LifecycleStage::kMigrated, node, process, from_segment, to_segment)) {
-    return;
-  }
   LifecycleEvent event;
   event.ctx = ctx;
   event.stage = LifecycleStage::kMigrated;
@@ -330,9 +235,6 @@ void LifecycleTracker::NoteMigrationAborted(const ProcessId& pid) {
 }
 
 void LifecycleTracker::NoteProcessReset(const ProcessId& pid) {
-  if (TryCaptureReset(pid)) {
-    return;
-  }
   if (tracer_ != nullptr) {
     tracer_->Instant("process.reset", "lifecycle", obs_track::kLifecycle,
                      {{"process", ToString(pid)}});

@@ -49,7 +49,6 @@ class Counter;
 class InvariantOracle;
 class MetricsRegistry;
 class Simulator;
-struct SimObsRecord;
 class Tracer;
 
 // Aggregated lifecycle of one message.  `first_time[s]` is -1 until stage
@@ -167,17 +166,6 @@ class LifecycleTracker {
  private:
   LifecycleRecord& FindOrCreate(const CausalContext& ctx);
   void ObserveEvent(LifecycleEvent& event);
-
-  // Parallel-engine support: when the calling thread is a simulation worker
-  // inside a safe window (SimCore::InWorkerContext), the hook's arguments are
-  // packed into a SimObsRecord and buffered instead of touching this (shared,
-  // single-threaded) tracker; the engine replays them through ApplyCaptured
-  // at the window barrier in deterministic merged order.  Returns true when
-  // the observation was captured (the hook is done).
-  bool TryCapture(const CausalContext& ctx, LifecycleStage stage, NodeId node,
-                  ProcessId process, int32_t from_segment, int32_t to_segment);
-  bool TryCaptureReset(const ProcessId& pid);
-  static void ApplyCaptured(const SimObsRecord& rec);
 
   const Simulator* sim_;
   size_t max_messages_;

@@ -58,25 +58,19 @@ bool TelemetrySampler::Included(const std::string& key) const {
          MatchesAny(key, config_.include_prefixes);
 }
 
-bool TelemetrySampler::Volatile(const std::string& key) const {
-  return MatchesAny(key, config_.volatile_prefixes);
-}
-
 TimeSeries& TelemetrySampler::Slot(const std::string& key, TimeSeriesKind kind) {
   auto it = series_.find(key);
   if (it == series_.end()) {
     it = series_
-             .emplace(key, TimeSeries(kind, config_.capacity, Volatile(key)))
+             .emplace(key, TimeSeries(kind, config_.capacity))
              .first;
   }
   return it->second;
 }
 
 void TelemetrySampler::SampleNow() {
-  // Merge the engine's deferred per-domain tallies (and engine.* gauges)
-  // before reading.  The tick runs on the control domain, so in the parallel
-  // engine every worker is quiesced at this point — this *is* the window
-  // barrier the per-domain counters merge at.
+  // Publish the engine's per-domain tallies (and engine.* gauges) before
+  // reading.
   sim_->FlushObsMetrics();
   const SimTime now = sim_->Now();
   for (const auto& [key, counter] : metrics_->counters()) {
@@ -113,16 +107,13 @@ const TimeSeries* TelemetrySampler::Find(const std::string& key) const {
   return it == series_.end() ? nullptr : &it->second;
 }
 
-std::string TelemetrySampler::ToJson(bool include_volatile) const {
+std::string TelemetrySampler::ToJson() const {
   std::string out = "{\"interval_ms\":" + FormatMetricValue(ToMillis(config_.interval));
   out += ",\"capacity\":" + std::to_string(config_.capacity);
   out += ",\"samples\":" + std::to_string(samples_);
   out += ",\"series\":{";
   bool first = true;
   for (const auto& [key, series] : series_) {
-    if (series.is_volatile() && !include_volatile) {
-      continue;
-    }
     if (!first) {
       out += ',';
     }
@@ -145,12 +136,9 @@ std::string TelemetrySampler::ToJson(bool include_volatile) const {
   return out;
 }
 
-std::string TelemetrySampler::ToCsv(bool include_volatile) const {
+std::string TelemetrySampler::ToCsv() const {
   std::string out = "series,kind,t_ms,value\n";
   for (const auto& [key, series] : series_) {
-    if (series.is_volatile() && !include_volatile) {
-      continue;
-    }
     for (size_t i = 0; i < series.size(); ++i) {
       const TimelinePoint& p = series.at(i);
       // Label-bearing keys contain commas; quote the key unconditionally.
@@ -163,14 +151,12 @@ std::string TelemetrySampler::ToCsv(bool include_volatile) const {
   return out;
 }
 
-bool TelemetrySampler::WriteJsonFile(const std::string& path,
-                                     bool include_volatile) const {
-  return WriteTextFile(path, ToJson(include_volatile));
+bool TelemetrySampler::WriteJsonFile(const std::string& path) const {
+  return WriteTextFile(path, ToJson());
 }
 
-bool TelemetrySampler::WriteCsvFile(const std::string& path,
-                                    bool include_volatile) const {
-  return WriteTextFile(path, ToCsv(include_volatile));
+bool TelemetrySampler::WriteCsvFile(const std::string& path) const {
+  return WriteTextFile(path, ToCsv());
 }
 
 }  // namespace publishing

@@ -8,15 +8,11 @@
 // configurable virtual-time interval into bounded per-series ring buffers.
 //
 // Determinism contract: the sampler is a pure reader.  Its tick runs on the
-// root (control) domain — in the parallel engine that means a serialized
-// control batch with every worker quiesced — and begins by flushing the
-// core's deferred per-domain tallies (Simulator::FlushObsMetrics), so
-// per-domain engine counters are merged at a window barrier before the
-// scrape.  Virtual time is worker-invariant, the registry iterates in sorted
-// key order, and numbers format through FormatMetricValue, so the exported
-// timeline is byte-identical for a fixed seed at any worker count.  Series
-// whose values are wall-clock (never byte-diffable) are declared volatile by
-// prefix and excluded from the deterministic export.
+// root (control) domain and begins by flushing the core's per-domain event
+// tallies (Simulator::FlushObsMetrics), so the registry is current at the
+// scrape.  The registry iterates in sorted key order and numbers format
+// through FormatMetricValue, so the exported timeline is byte-identical for a
+// fixed seed.
 //
 // Sampling itself never mutates the system under test: with the sampler
 // detached the run is bit-identical, and with it attached only the registry
@@ -61,8 +57,8 @@ struct TimelinePoint {
 // matter how long the run is.
 class TimeSeries {
  public:
-  TimeSeries(TimeSeriesKind kind, size_t capacity, bool is_volatile)
-      : kind_(kind), is_volatile_(is_volatile), capacity_(capacity) {
+  TimeSeries(TimeSeriesKind kind, size_t capacity)
+      : kind_(kind), capacity_(capacity) {
     ring_.reserve(capacity_);
   }
 
@@ -77,7 +73,6 @@ class TimeSeries {
   }
 
   TimeSeriesKind kind() const { return kind_; }
-  bool is_volatile() const { return is_volatile_; }
   size_t size() const { return ring_.size(); }
   size_t capacity() const { return capacity_; }
   uint64_t dropped() const { return dropped_; }
@@ -88,7 +83,6 @@ class TimeSeries {
 
  private:
   TimeSeriesKind kind_;
-  bool is_volatile_;
   size_t capacity_;
   size_t start_ = 0;       // index of the oldest point once the ring is full
   uint64_t dropped_ = 0;   // points overwritten
@@ -103,9 +97,6 @@ struct TimelineConfig {
   // When non-empty, only instruments whose key starts with one of these
   // prefixes are sampled (bounds the export for label-heavy registries).
   std::vector<std::string> include_prefixes;
-  // Series matching one of these prefixes are sampled but excluded from the
-  // deterministic export (wall-clock values, never byte-diffable).
-  std::vector<std::string> volatile_prefixes;
   // When > 0 the periodic tick stops re-arming once Now() reaches this time,
   // so a Run()-to-quiescence after the workload still terminates.
   SimTime horizon = 0;
@@ -128,7 +119,7 @@ class TelemetrySampler {
   bool running() const { return task_.running(); }
 
   // Takes one scrape at the current virtual time (also what the periodic
-  // tick does).  Flushes the engine's deferred tallies first.
+  // tick does).  Flushes the engine's event tallies first.
   void SampleNow();
 
   // Invoked after every scrape with the sampler and the scrape time — the
@@ -143,16 +134,14 @@ class TelemetrySampler {
   const TimeSeries* Find(const std::string& key) const;
 
   // Deterministic exports: series in sorted key order, points oldest-first,
-  // times in milliseconds, numbers through FormatMetricValue.  Volatile
-  // series are skipped unless `include_volatile`.
-  std::string ToJson(bool include_volatile = false) const;
-  std::string ToCsv(bool include_volatile = false) const;
-  bool WriteJsonFile(const std::string& path, bool include_volatile = false) const;
-  bool WriteCsvFile(const std::string& path, bool include_volatile = false) const;
+  // times in milliseconds, numbers through FormatMetricValue.
+  std::string ToJson() const;
+  std::string ToCsv() const;
+  bool WriteJsonFile(const std::string& path) const;
+  bool WriteCsvFile(const std::string& path) const;
 
  private:
   bool Included(const std::string& key) const;
-  bool Volatile(const std::string& key) const;
   TimeSeries& Slot(const std::string& key, TimeSeriesKind kind);
 
   Simulator* sim_;

@@ -1,7 +1,5 @@
-// Slab-pooled intrusive binary heap of pending events — the per-domain engine
-// seam extracted from the original single-`Simulator` event loop so the
-// multi-worker virtual-time core (src/sim/parallel.h) can give every domain a
-// private queue while reusing one battle-tested implementation.
+// Slab-pooled intrusive binary heap of pending events — the private queue of
+// one simulation domain (src/sim/parallel.h).
 //
 // Layout: pending events live in a slab of pooled nodes (callback stored
 // inline via SimCallback's small-buffer optimization) indexed by an intrusive
@@ -17,8 +15,7 @@
 // original same-instant FIFO guarantee.  Cross-domain handoffs carry
 // kHandoffSeqBit | global-handoff-sequence, which sorts every handoff after
 // every local event at the same instant (the bit dominates) while keeping
-// handoffs in their deterministic global hand-off order — see
-// src/sim/parallel.h for why that order is identical on 1 and N workers.
+// handoffs in the order they were sent (src/sim/parallel.h).
 
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
@@ -106,10 +103,6 @@ class EventHeap {
   SimTime top_when() const {
     assert(!heap_.empty());
     return slab_[heap_.front()].when;
-  }
-  uint64_t top_seq() const {
-    assert(!heap_.empty());
-    return slab_[heap_.front()].seq;
   }
 
   // Pops the earliest event, moving its callback out and retiring the slot

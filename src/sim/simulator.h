@@ -8,13 +8,10 @@
 // tests depend on that.
 //
 // A Simulator is a *domain view* of a SimCore (src/sim/parallel.h).  A
-// default-constructed Simulator is the root (control) domain of its own core
-// and behaves exactly like the original single-threaded engine; AddDomain()
-// creates additional domains with private event heaps that the core may
-// execute on worker threads under conservative lookahead, bit-identical to
-// sequential execution.  The slab-pooled heap itself lives in
-// src/sim/event_queue.h; scheduling and cancellation stay on this domain's
-// private queue and never contend with other domains.
+// default-constructed Simulator is the root (control) domain of its own core;
+// AddDomain() creates additional domains with private event heaps, and one
+// sequential loop runs every domain's events in a fixed total order.  The
+// slab-pooled heap itself lives in src/sim/event_queue.h.
 
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
@@ -40,7 +37,7 @@ class Simulator {
   using Action = SimCallback;
 
   // Root constructor: this Simulator is domain 0 (the control domain) of a
-  // fresh core.  Single-domain cores run the original sequential fast path.
+  // fresh core.
   Simulator();
   ~Simulator();
 
@@ -54,13 +51,6 @@ class Simulator {
   // drive all domains in one deterministic virtual time.
   Simulator* AddDomain();
 
-  // Worker threads for Run/RunUntil (1 = sequential engine; the default).
-  void SetWorkers(size_t workers);
-  size_t workers() const;
-
-  // Conservative lookahead: minimum latency of any cross-domain handoff.
-  void SetLookahead(SimDuration lookahead);
-
   uint32_t domain() const { return domain_; }
   bool is_root() const { return domain_ == 0; }
   SimCore& core() { return *core_; }
@@ -68,30 +58,24 @@ class Simulator {
   SimTime Now() const { return now_; }
 
   // Resolves the event-loop instruments (counts + queue-depth gauge).  The
-  // default null Observability detaches them; instrumentation then costs a
-  // null check per event.  Root only; on a multi-domain core the counts are
-  // tallied per domain and merged deterministically at flush points (run
-  // boundaries and control batches).
+  // default null Observability detaches them.  Root only.  Every domain
+  // tallies its events in plain counters; the core publishes the tallies at
+  // its flush points (after each Step, Run and RunUntil, and on
+  // FlushObsMetrics), so a registry attached mid-run counts only later
+  // events.
   void SetObservability(const Observability& obs);
 
-  // Publishes the deferred per-domain event tallies and engine.* gauges to
-  // the attached registry immediately.  Root only, serialized context only
-  // (between runs or from a control-domain event) — the telemetry sampler
-  // calls this before each scrape so the registry is current mid-run.
+  // Publishes the per-domain event tallies and engine.* gauges to the
+  // attached registry immediately.  Root only — the telemetry sampler calls
+  // this before each scrape so the registry is current mid-run.
   void FlushObsMetrics();
 
   // Schedules `action` to run at absolute time `when` (>= Now()) on this
   // domain.  Same-instant events on one domain fire in scheduling order.
   EventId ScheduleAt(SimTime when, Action action) {
     assert(when >= now_ && "cannot schedule into the past");
-    const EventId id = queue_.Insert(when, ++next_seq_, std::move(action));
-    if (events_scheduled_ != nullptr) {
-      events_scheduled_->Add(1);
-      queue_depth_->Set(static_cast<double>(queue_.size()));
-    } else {
-      ++tally_scheduled_;
-    }
-    return id;
+    ++tally_scheduled_;
+    return queue_.Insert(when, ++next_seq_, std::move(action));
   }
 
   // Schedules `action` to run `delay` from now on this domain.
@@ -100,10 +84,8 @@ class Simulator {
   }
 
   // Schedules `action` onto another domain of the same core, `delay` from
-  // this domain's now.  `delay` must be >= the core's lookahead; the arrival
-  // order is deterministic and independent of worker count (handoffs at one
-  // instant fire after that instant's local events, in sender-execution-rank
-  // order).  This is the only legal way to affect another domain's state.
+  // this domain's now.  Handoffs at one instant fire after that instant's
+  // local events on the target, in the order the sends executed.
   void ScheduleOnAfter(Simulator* target, SimDuration delay, Action action);
 
   // Cancels a pending event scheduled on this domain.  Returns false if the
@@ -113,12 +95,7 @@ class Simulator {
     if (!queue_.Cancel(id)) {
       return false;
     }
-    if (events_cancelled_ != nullptr) {
-      events_cancelled_->Add(1);
-      queue_depth_->Set(static_cast<double>(queue_.size()));
-    } else {
-      ++tally_cancelled_;
-    }
+    ++tally_cancelled_;
     return true;
   }
 
@@ -156,23 +133,14 @@ class Simulator {
   uint32_t domain_ = 0;
 
   SimTime now_ = 0;
-  uint64_t next_seq_ = 0;     // band-0 FIFO order for this domain
-  uint64_t exec_count_ = 0;   // events executed; the handoff sender rank
+  uint64_t next_seq_ = 0;  // band-0 FIFO order for this domain
   EventHeap queue_;
 
-  // Event tallies when counters are detached or deferred (multi-domain
-  // cores); merged into the shared counters at deterministic flush points.
+  // Event tallies, published by the core at its flush points.  Fired events
+  // double as the per-domain engine.domain_events gauge.
   uint64_t tally_scheduled_ = 0;
   uint64_t tally_fired_ = 0;
   uint64_t tally_cancelled_ = 0;
-
-  // Inline observability handles — non-null only on the root of a
-  // single-domain core (the original engine's exact per-event behaviour).
-  // All four are resolved together, so checking one suffices on each path.
-  Counter* events_scheduled_ = nullptr;
-  Counter* events_fired_ = nullptr;
-  Counter* events_cancelled_ = nullptr;
-  Gauge* queue_depth_ = nullptr;
 };
 
 // Re-arms itself every `period` until stopped.  Used for watchdog "are you

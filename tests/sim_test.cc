@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "src/obs/metrics.h"
+#include "src/sim/parallel.h"
 #include "src/sim/simulator.h"
 #include "src/sim/stats.h"
 
@@ -297,8 +303,7 @@ TEST(PeriodicTask, StopThenStartFromInsideOwnCallbackContinues) {
 
 // Multi-domain cores merge their private queues into one global order:
 // (when, domain-id), with same-instant cross-domain handoffs after local
-// events.  This is the sequential (workers=1) view; the `parallel` suite
-// proves worker threads reproduce it bit for bit.
+// events.
 TEST(Simulator, MultiDomainEventsMergeInTimeThenDomainOrder) {
   Simulator root;
   Simulator* a = root.AddDomain();
@@ -313,6 +318,214 @@ TEST(Simulator, MultiDomainEventsMergeInTimeThenDomainOrder) {
   EXPECT_EQ(order, (std::vector<std::string>{"a@5", "root@10", "a@10", "b@10"}));
   EXPECT_EQ(root.Now(), Millis(10));
   EXPECT_EQ(a->Now(), Millis(10));
+}
+
+// Handoffs landing at one instant fire after that instant's locally
+// scheduled events, in the order the sends executed (sender when, then
+// sender domain).
+TEST(Simulator, HandoffsFireAfterLocalEventsInSenderRankOrder) {
+  Simulator root;
+  Simulator* a = root.AddDomain();
+  Simulator* b = root.AddDomain();
+  Simulator* c = root.AddDomain();
+
+  std::vector<std::string> order;
+  c->ScheduleAt(Millis(5), [&] { order.push_back("local"); });
+  // Both handoffs land at exactly t=5ms.  Sender b fires before sender a
+  // (earlier when), so its handoff ranks first.
+  a->ScheduleAt(Millis(4), [&, a, c] {
+    a->ScheduleOnAfter(c, Millis(1), [&] { order.push_back("fromA"); });
+  });
+  b->ScheduleAt(Millis(3), [&, b, c] {
+    b->ScheduleOnAfter(c, Millis(2), [&] { order.push_back("fromB"); });
+  });
+  root.Run();
+
+  EXPECT_EQ(order, (std::vector<std::string>{"local", "fromB", "fromA"}));
+  EXPECT_EQ(root.core().engine_stats().handoffs, 2u);
+}
+
+struct DomainLog {
+  // (firing time, value drawn from the domain's private RNG at that firing):
+  // any divergence in firing order, handoff interleaving, or RNG consumption
+  // shows up as a mismatch.
+  std::vector<std::pair<SimTime, uint64_t>> entries;
+
+  bool operator==(const DomainLog& other) const { return entries == other.entries; }
+};
+
+// Random walks over four domains: each firing either reschedules locally or
+// hands the walk to a random domain (itself included) after at least 1 ms.
+std::vector<DomainLog> RunRandomSchedule(uint64_t seed) {
+  constexpr size_t kDomains = 4;
+  constexpr int kBudgetPerChain = 300;
+
+  Simulator root;
+  std::vector<Simulator*> doms;
+  for (size_t d = 0; d < kDomains; ++d) {
+    doms.push_back(root.AddDomain());
+  }
+  struct Chain {
+    std::mt19937_64 rng;
+    int budget = kBudgetPerChain;
+  };
+  std::vector<Chain> chains(kDomains);
+  std::vector<DomainLog> logs(kDomains);
+  for (size_t d = 0; d < kDomains; ++d) {
+    chains[d].rng.seed(seed * 1000 + d);
+  }
+
+  std::function<void(size_t)> step = [&](size_t d) {
+    Chain& chain = chains[d];
+    logs[d].entries.emplace_back(doms[d]->Now(), chain.rng());
+    if (--chain.budget <= 0) {
+      return;
+    }
+    const SimDuration jitter = static_cast<SimDuration>(1 + chain.rng() % 500'000);
+    if (chain.rng() % 4 == 0) {
+      const size_t target = chain.rng() % kDomains;
+      doms[d]->ScheduleOnAfter(doms[target], Millis(1) + jitter,
+                               [&step, target] { step(target); });
+    } else {
+      doms[d]->ScheduleAfter(jitter, [&step, d] { step(d); });
+    }
+  };
+
+  for (size_t d = 0; d < kDomains; ++d) {
+    doms[d]->ScheduleAt(Micros(1 + d), [&step, d] { step(d); });
+  }
+  root.Run();
+  return logs;
+}
+
+TEST(Simulator, RandomMultiDomainScheduleIsReproducible) {
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    const auto first = RunRandomSchedule(seed);
+    const auto second = RunRandomSchedule(seed);
+    for (size_t d = 0; d < first.size(); ++d) {
+      EXPECT_EQ(first[d], second[d]) << "seed=" << seed << " domain=" << d;
+    }
+  }
+  // Pins the total order itself: a walk dies when it lands on a domain whose
+  // budget another walk already spent, so the firing count depends on the
+  // exact interleaving.
+  size_t total = 0;
+  for (const DomainLog& log : RunRandomSchedule(3)) {
+    total += log.entries.size();
+  }
+  EXPECT_EQ(total, 1151u);
+}
+
+// Six chains over the given domains, at distinct instants (chain c fires at
+// c µs past each millisecond), so the global order does not depend on how
+// the chains are partitioned.  Each firing arms and cancels a timer, then
+// reschedules; every fourth firing hands the chain to the next domain.
+struct MetricsChurn {
+  static constexpr int kChains = 6;
+  static constexpr int kFirings = 20;
+
+  std::vector<Simulator*> domains;
+  int budget[kChains] = {};
+  uint64_t fired = 0;
+
+  void Start() {
+    for (int c = 0; c < kChains; ++c) {
+      budget[c] = kFirings;
+      domains[c % domains.size()]->ScheduleAt(Micros(c),
+                                              [this, c] { Fire(c, c % domains.size()); });
+    }
+  }
+
+  void Fire(int c, size_t d) {
+    ++fired;
+    Simulator* sim = domains[d];
+    sim->Cancel(sim->ScheduleAfter(Millis(250), [] {}));
+    if (--budget[c] == 0) {
+      return;
+    }
+    if (budget[c] % 4 == 0) {
+      const size_t next = (d + 1) % domains.size();
+      sim->ScheduleOnAfter(domains[next], Millis(1), [this, c, next] { Fire(c, next); });
+    } else {
+      sim->ScheduleAfter(Millis(1), [this, c, d] { Fire(c, d); });
+    }
+  }
+};
+
+struct SimMetrics {
+  uint64_t scheduled = 0;
+  uint64_t fired = 0;
+  uint64_t cancelled = 0;
+  double depth = 0;
+
+  bool operator==(const SimMetrics&) const = default;
+};
+
+SimMetrics ReadSimMetrics(MetricsRegistry& registry) {
+  return SimMetrics{registry.GetCounter("sim.events_scheduled")->value(),
+                    registry.GetCounter("sim.events_fired")->value(),
+                    registry.GetCounter("sim.events_cancelled")->value(),
+                    registry.GetGauge("sim.queue_depth")->value()};
+}
+
+// One metrics path for any domain count: the same workload on a one-domain
+// and a three-domain core reports the same sim.* values after every Step,
+// RunUntil and Run, and a registry attached mid-run counts only later events.
+TEST(Simulator, MetricsMatchAcrossDomainCounts) {
+  Simulator single;
+  Simulator multi;
+  MetricsChurn one;
+  MetricsChurn three;
+  one.domains = {&single};
+  three.domains = {&multi, multi.AddDomain(), multi.AddDomain()};
+  one.Start();
+  three.Start();
+
+  // Unobserved prefix.
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(single.Step());
+    ASSERT_TRUE(multi.Step());
+  }
+  single.RunUntil(Millis(2));
+  multi.RunUntil(Millis(2));
+  ASSERT_EQ(one.fired, three.fired);
+  const uint64_t fired_before = one.fired;
+
+  MetricsRegistry reg_one;
+  MetricsRegistry reg_three;
+  single.SetObservability(Observability{.metrics = &reg_one});
+  multi.SetObservability(Observability{.metrics = &reg_three});
+
+  // The first observed event: one firing, its timer armed and cancelled, and
+  // the chain's next link.
+  ASSERT_TRUE(single.Step());
+  ASSERT_TRUE(multi.Step());
+  const SimMetrics first = ReadSimMetrics(reg_one);
+  EXPECT_EQ(first, (SimMetrics{2, 1, 1, MetricsChurn::kChains}));
+  EXPECT_EQ(ReadSimMetrics(reg_three), first);
+
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(single.Step());
+    ASSERT_TRUE(multi.Step());
+    EXPECT_EQ(ReadSimMetrics(reg_one), ReadSimMetrics(reg_three)) << "step " << i;
+  }
+  single.RunUntil(Millis(9));
+  multi.RunUntil(Millis(9));
+  EXPECT_EQ(ReadSimMetrics(reg_one), ReadSimMetrics(reg_three));
+
+  single.Run();
+  multi.Run();
+  const SimMetrics last = ReadSimMetrics(reg_one);
+  EXPECT_EQ(last, ReadSimMetrics(reg_three));
+  const uint64_t total = MetricsChurn::kChains * MetricsChurn::kFirings;
+  EXPECT_EQ(one.fired, total);
+  EXPECT_EQ(three.fired, total);
+  EXPECT_EQ(last.fired, total - fired_before);
+  EXPECT_EQ(last.cancelled, total - fired_before);
+  EXPECT_EQ(last.depth, 0.0);
+
+  single.SetObservability(Observability{});
+  multi.SetObservability(Observability{});
 }
 
 TEST(Stats, StatAccumulatorBasics) {
