@@ -43,7 +43,7 @@
 #include "src/obs/timeline.h"
 #include "src/obs/watchdog.h"
 #include "src/queueing/simulation.h"
-#include "src/sim/parallel.h"
+#include "src/sim/simulator.h"
 #include "tests/test_programs.h"
 
 namespace publishing {
@@ -260,7 +260,7 @@ SweepResult RunSweepPoint(size_t segments, size_t users_per_segment,
   oracle.CheckQuiescent();
   result.violations = oracle.total_violations();
   result.oracle_report = oracle.ReportJson();
-  const auto& engine = net.sim().core().engine_stats();
+  const auto& engine = net.sim().engine_stats();
   result.events_executed = engine.events_executed;
   result.handoffs = engine.handoffs;
   net.EnableObservability(Observability{});

@@ -43,6 +43,7 @@
 #include "src/obs/oracle.h"
 #include "src/obs/timeline.h"
 #include "src/obs/watchdog.h"
+#include "src/sim/simulator.h"
 #include "tests/test_programs.h"
 
 namespace publishing {
@@ -600,7 +601,7 @@ void RunOverloadStudy(BenchJson& json) {
   // virtual-time numbers only, so two same-seed runs stay identical.
   json.SetRawJson("timeline", sampler.ToJson());
   json.SetRawJson("alerts", watchdog.AlertsJson());
-  json.SetEngineStats(net.sim().core().engine_stats());
+  json.SetEngineStats(net.sim().engine_stats());
 
   rig.lifecycle.AttachFlightRecorder(nullptr);
 }

@@ -12,7 +12,7 @@
 #include <map>
 #include <string>
 
-#include "src/sim/parallel.h"
+#include "src/sim/simulator.h"
 #include "src/sim/stats.h"
 
 namespace publishing {
@@ -45,7 +45,7 @@ class BenchJson {
   }
 
   // The engine's introspection counters as first-class bench keys.
-  void SetEngineStats(const SimCore::EngineStats& stats) {
+  void SetEngineStats(const Simulator::EngineStats& stats) {
     Set("engine.events_executed", static_cast<double>(stats.events_executed));
     Set("engine.handoffs", static_cast<double>(stats.handoffs));
   }

@@ -67,9 +67,9 @@ struct InternetConfig {
   GatewayOptions gateway;
   bool start_recovery_managers = true;
 
-  // Unused: the engine runs every segment's domain in one sequential loop
-  // (src/sim/parallel.h).  Kept because perfbench/workloads.cc still
-  // assigns it; any value gives the same run.
+  // Unused: every segment's domain shares the root Simulator's one heap and
+  // one clock (src/sim/simulator.h).  Kept because perfbench/workloads.cc
+  // still assigns it; any value gives the same run.
   size_t workers = 1;
 };
 

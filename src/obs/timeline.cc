@@ -69,8 +69,7 @@ TimeSeries& TelemetrySampler::Slot(const std::string& key, TimeSeriesKind kind) 
 }
 
 void TelemetrySampler::SampleNow() {
-  // Publish the engine's per-domain tallies (and engine.* gauges) before
-  // reading.
+  // Publish the engine's event tallies (and engine.* gauges) before reading.
   sim_->FlushObsMetrics();
   const SimTime now = sim_->Now();
   for (const auto& [key, counter] : metrics_->counters()) {

@@ -8,8 +8,8 @@
 // configurable virtual-time interval into bounded per-series ring buffers.
 //
 // Determinism contract: the sampler is a pure reader.  Its tick runs on the
-// root (control) domain and begins by flushing the core's per-domain event
-// tallies (Simulator::FlushObsMetrics), so the registry is current at the
+// root (control) domain and begins by flushing the engine's event tallies
+// (Simulator::FlushObsMetrics), so the registry is current at the
 // scrape.  The registry iterates in sorted key order and numbers format
 // through FormatMetricValue, so the exported timeline is byte-identical for a
 // fixed seed.

@@ -1,5 +1,5 @@
-// Slab-pooled intrusive binary heap of pending events — the private queue of
-// one simulation domain (src/sim/parallel.h).
+// Slab-pooled intrusive binary heap of pending events — the one event queue
+// of a simulation engine (src/sim/simulator.h).
 //
 // Layout: pending events live in a slab of pooled nodes (callback stored
 // inline via SimCallback's small-buffer optimization) indexed by an intrusive
@@ -10,12 +10,13 @@
 // by the peak number of *pending* events, not by the total number ever
 // scheduled.
 //
-// Ordering: the heap key is (when, seq).  Locally scheduled events carry the
-// owning domain's monotonically increasing sequence number, preserving the
-// original same-instant FIFO guarantee.  Cross-domain handoffs carry
-// kHandoffSeqBit | global-handoff-sequence, which sorts every handoff after
-// every local event at the same instant (the bit dominates) while keeping
-// handoffs in the order they were sent (src/sim/parallel.h).
+// Ordering: the heap key is (when, domain, seq).  Every node records the
+// domain that scheduled it or that a handoff targets.  The engine numbers
+// every event from one monotonically increasing sequence, preserving the
+// same-instant FIFO guarantee within a domain.  Cross-domain handoffs carry
+// kHandoffSeqBit | sequence, which sorts every handoff after every local
+// event of its domain at the same instant (the bit dominates) while keeping
+// handoffs in the order they were sent.
 
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
@@ -33,8 +34,7 @@ namespace publishing {
 // Token for cancelling a scheduled event.  Packs slab slot + slot generation;
 // the generation makes handles single-use: once the event fires or is
 // cancelled the slot's generation advances and the old handle goes stale.
-// Handles are only meaningful to the queue (domain) that issued them; callers
-// always cancel on the Simulator they scheduled on.
+// One heap serves every domain, so a handle names exactly one event.
 struct EventId {
   uint64_t value = 0;
 
@@ -46,7 +46,7 @@ struct EventId {
 // Sequence-number bit reserved for cross-domain handoff events.  At equal
 // `when` within one domain, every handoff (bit set) sorts after every locally
 // scheduled event (bit clear), and handoffs sort among themselves by the
-// global handoff sequence in the low bits.
+// sequence in the low bits, which is their send order.
 inline constexpr uint64_t kHandoffSeqBit = uint64_t{1} << 63;
 
 class EventHeap {
@@ -57,14 +57,14 @@ class EventHeap {
   EventHeap(const EventHeap&) = delete;
   EventHeap& operator=(const EventHeap&) = delete;
 
-  // Inserts `action` keyed by (when, seq).  The caller owns sequence-number
-  // assignment (per-domain counter for local events, global handoff counter
-  // for cross-domain events).
-  EventId Insert(SimTime when, uint64_t seq, Action action) {
+  // Inserts `action` keyed by (when, domain, seq).  The caller owns
+  // sequence-number assignment.
+  EventId Insert(SimTime when, uint32_t domain, uint64_t seq, Action action) {
     const uint32_t slot = AcquireSlot();
     EventNode& node = slab_[slot];
     node.when = when;
     node.seq = seq;
+    node.domain = domain;
     node.action = std::move(action);
     node.heap_pos = static_cast<uint32_t>(heap_.size());
     heap_.push_back(slot);
@@ -72,10 +72,11 @@ class EventHeap {
     return EventId{MakeHandle(slot, node.generation)};
   }
 
-  // Cancels a pending event: removes it from the heap immediately and
-  // recycles its slot.  Returns false if the handle is stale (the event
-  // already ran or was already cancelled) or never existed.
-  bool Cancel(EventId id) {
+  // Cancels a pending event: removes it from the heap immediately, recycles
+  // its slot and stores the event's domain in `*domain`.  Returns false if
+  // the handle is stale (the event already ran or was already cancelled) or
+  // never existed.
+  bool Cancel(EventId id, uint32_t* domain) {
     if (!id.IsValid()) {
       return false;
     }
@@ -87,6 +88,7 @@ class EventHeap {
     if (node.heap_pos == kNpos || node.generation != HandleGeneration(id.value)) {
       return false;
     }
+    *domain = node.domain;
     RemoveFromHeap(node.heap_pos);
     node.action = Action();
     ReleaseSlot(slot);
@@ -109,11 +111,12 @@ class EventHeap {
   // before returning: the action may schedule (growing the slab), cancel, or
   // re-enter the queue, and a handle to this event must already read as
   // fired by the time the caller invokes it.
-  Action PopTop(SimTime* when) {
+  Action PopTop(SimTime* when, uint32_t* domain) {
     assert(!heap_.empty());
     const uint32_t slot = heap_.front();
     EventNode& node = slab_[slot];
     *when = node.when;
+    *domain = node.domain;
     Action action = std::move(node.action);
     RemoveFromHeap(0);
     ReleaseSlot(slot);
@@ -129,6 +132,7 @@ class EventHeap {
     uint32_t generation = 0; // bumped on release; staleness check for handles
     uint32_t heap_pos = kNpos;
     uint32_t next_free = kNpos;
+    uint32_t domain = 0;     // orders same-instant events across domains
     Action action;
   };
 
@@ -166,6 +170,9 @@ class EventHeap {
     const EventNode& nb = slab_[b];
     if (na.when != nb.when) {
       return na.when < nb.when;
+    }
+    if (na.domain != nb.domain) {
+      return na.domain < nb.domain;
     }
     return na.seq < nb.seq;
   }
@@ -221,7 +228,7 @@ class EventHeap {
   }
 
   std::vector<EventNode> slab_;
-  std::vector<uint32_t> heap_;  // slab indices ordered by (when, seq)
+  std::vector<uint32_t> heap_;  // slab indices ordered by (when, domain, seq)
   uint32_t free_head_ = kNpos;
 };
 

@@ -7,11 +7,12 @@
 // whole-system runs bit-for-bit reproducible; the crash/recovery equivalence
 // tests depend on that.
 //
-// A Simulator is a *domain view* of a SimCore (src/sim/parallel.h).  A
-// default-constructed Simulator is the root (control) domain of its own core;
-// AddDomain() creates additional domains with private event heaps, and one
-// sequential loop runs every domain's events in a fixed total order.  The
-// slab-pooled heap itself lives in src/sim/event_queue.h.
+// One engine has one event heap (src/sim/event_queue.h) and one clock, both
+// owned by its root: a default-constructed Simulator, domain 0, the control
+// domain.  AddDomain() returns further Simulators that are tags — the root
+// plus a domain id.  Every view schedules into the root's heap and reads the
+// root's clock; the domain id only orders same-instant events (DESIGN.md
+// §15).
 
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
@@ -30,14 +31,18 @@
 
 namespace publishing {
 
-class SimCore;
-
 class Simulator {
  public:
   using Action = SimCallback;
 
+  // Engine-level counters for benches and tests.
+  struct EngineStats {
+    uint64_t events_executed = 0;
+    uint64_t handoffs = 0;  // cross-domain events delivered
+  };
+
   // Root constructor: this Simulator is domain 0 (the control domain) of a
-  // fresh core.
+  // fresh engine.
   Simulator();
   ~Simulator();
 
@@ -46,101 +51,149 @@ class Simulator {
 
   // ---- Domain / engine configuration (root only) ----
 
-  // Creates a new domain sharing this core.  Components wired to the returned
-  // view schedule into that domain's private queue; the root's Run/RunUntil
-  // drive all domains in one deterministic virtual time.
+  // Creates a new domain of this engine.  Events scheduled through the
+  // returned view carry its domain id; the root's Run/RunUntil drive every
+  // domain in one deterministic virtual time.  The view stays valid until the
+  // root is destroyed.
   Simulator* AddDomain();
 
   uint32_t domain() const { return domain_; }
   bool is_root() const { return domain_ == 0; }
-  SimCore& core() { return *core_; }
 
-  SimTime Now() const { return now_; }
+  // The root Simulator.  The benchmark harness reads engine_stats() through
+  // it; other code calls engine_stats() directly.
+  Simulator& core() { return *root_; }
+
+  // The engine's clock: every domain view reads the same one.
+  SimTime Now() const { return engine().now; }
+
+  const EngineStats& engine_stats() const { return engine().stats; }
 
   // Resolves the event-loop instruments (counts + queue-depth gauge).  The
-  // default null Observability detaches them.  Root only.  Every domain
-  // tallies its events in plain counters; the core publishes the tallies at
-  // its flush points (after each Step, Run and RunUntil, and on
-  // FlushObsMetrics), so a registry attached mid-run counts only later
-  // events.
+  // default null Observability detaches them.  Root only.  The engine tallies
+  // events in plain counters and publishes them at its flush points (after
+  // each Step, Run and RunUntil, and on FlushObsMetrics), so a registry
+  // attached mid-run counts only later events.
   void SetObservability(const Observability& obs);
 
-  // Publishes the per-domain event tallies and engine.* gauges to the
-  // attached registry immediately.  Root only — the telemetry sampler calls
-  // this before each scrape so the registry is current mid-run.
+  // Publishes the event tallies and engine.* gauges to the attached registry
+  // immediately.  Root only — the telemetry sampler calls this before each
+  // scrape so the registry is current mid-run.
   void FlushObsMetrics();
 
   // Schedules `action` to run at absolute time `when` (>= Now()) on this
   // domain.  Same-instant events on one domain fire in scheduling order.
   EventId ScheduleAt(SimTime when, Action action) {
-    assert(when >= now_ && "cannot schedule into the past");
-    ++tally_scheduled_;
-    return queue_.Insert(when, ++next_seq_, std::move(action));
+    Engine& e = engine();
+    assert(when >= e.now && "cannot schedule into the past");
+    return e.Insert(when, domain_, ++e.next_seq, std::move(action));
   }
 
   // Schedules `action` to run `delay` from now on this domain.
   EventId ScheduleAfter(SimDuration delay, Action action) {
-    return ScheduleAt(now_ + delay, std::move(action));
+    return ScheduleAt(Now() + delay, std::move(action));
   }
 
-  // Schedules `action` onto another domain of the same core, `delay` from
-  // this domain's now.  Handoffs at one instant fire after that instant's
-  // local events on the target, in the order the sends executed.
+  // Schedules `action` onto another domain of the same engine, `delay` from
+  // now.  Handoffs at one instant fire after that instant's local events on
+  // the target, in the order the sends executed.
   void ScheduleOnAfter(Simulator* target, SimDuration delay, Action action);
 
-  // Cancels a pending event scheduled on this domain.  Returns false if the
-  // handle is stale (the event already ran or was already cancelled) or never
-  // existed.
+  // Cancels a pending event, whichever domain view scheduled it.  Returns
+  // false if the handle is stale (the event already ran or was already
+  // cancelled) or never existed.
   bool Cancel(EventId id) {
-    if (!queue_.Cancel(id)) {
+    Engine& e = engine();
+    uint32_t domain = 0;
+    if (!e.heap.Cancel(id, &domain)) {
       return false;
     }
-    ++tally_cancelled_;
+    --e.domains[domain].pending;
+    ++e.cancelled;
     return true;
   }
 
-  // ---- Engine entry points (root only; drive every domain of the core) ----
+  // ---- Engine entry points (root only; drive every domain) ----
 
-  // Runs the single globally next event.  Returns false if all queues are
+  // Runs the single globally next event.  Returns false if the heap is
   // empty.
   bool Step();
 
-  // Runs events until every domain's queue drains.
+  // Runs events until the heap drains.
   void Run();
 
-  // Runs events with firing time <= `deadline`, then advances every domain
-  // clock to `deadline` (even if the queues drained earlier).
+  // Runs events with firing time <= `deadline`, then advances the clock to
+  // `deadline` (even if the heap drained earlier).
   void RunUntil(SimTime deadline);
 
-  void RunFor(SimDuration span) { RunUntil(now_ + span); }
+  void RunFor(SimDuration span) { RunUntil(Now() + span); }
 
-  // Pending events on this domain's private queue.
-  size_t pending_events() const { return queue_.size(); }
+  // Pending events on this domain.
+  size_t pending_events() const { return engine().domains[domain_].pending; }
 
-  // Number of slab nodes ever materialized on this domain.  Bounded by the
-  // peak number of simultaneously pending events (regression test pins this:
-  // scheduling and retiring 10M events must not grow it past the peak).
-  size_t slab_slots() const { return queue_.slab_slots(); }
+  // Number of slab nodes ever materialized in the engine's heap.  Bounded by
+  // the peak number of simultaneously pending events (regression test pins
+  // this: scheduling and retiring 10M events must not grow it past the peak).
+  size_t slab_slots() const { return engine().heap.slab_slots(); }
 
  private:
-  friend class SimCore;
+  // Per-domain tallies.  Fired events double as the engine.domain_events
+  // gauge and pending ones as engine.domain_queue_depth.
+  struct DomainTally {
+    uint64_t fired = 0;
+    size_t pending = 0;
+  };
 
-  // Domain-view constructor (used by SimCore::AddDomain).
-  Simulator(SimCore* core, uint32_t domain_id);
+  // The state of the whole engine, owned by the root.
+  struct Engine {
+    EventHeap heap;
+    SimTime now = 0;
+    uint64_t next_seq = 0;  // numbers both bands; kHandoffSeqBit marks band 1
+    std::vector<DomainTally> domains;               // indexed by domain id
+    std::vector<std::unique_ptr<Simulator>> views;  // domains 1..D-1
+    EngineStats stats;
+    uint64_t scheduled = 0;  // published at the flush points
+    uint64_t cancelled = 0;
 
-  SimCore* core_ = nullptr;                  // the shared engine
-  std::unique_ptr<SimCore> core_storage_;    // root owns the core
+    // Metrics: the sim.* instruments, fed from the tallies, and the engine.*
+    // gauges (EngineStats plus per-domain series), refreshed at every flush
+    // point.
+    MetricsRegistry* metrics = nullptr;
+    Counter* events_scheduled = nullptr;
+    Counter* events_fired = nullptr;
+    Counter* events_cancelled = nullptr;
+    Gauge* queue_depth = nullptr;
+    Gauge* eng_events = nullptr;
+    Gauge* eng_handoffs = nullptr;
+    std::vector<Gauge*> eng_domain_events;
+    std::vector<Gauge*> eng_domain_depth;
+    uint64_t pub_scheduled = 0;  // tallies already published
+    uint64_t pub_fired = 0;
+    uint64_t pub_cancelled = 0;
+
+    EventId Insert(SimTime when, uint32_t domain, uint64_t seq, Action&& action) {
+      ++scheduled;
+      ++domains[domain].pending;
+      return heap.Insert(when, domain, seq, std::move(action));
+    }
+  };
+
+  // Domain-view constructor (used by AddDomain).
+  Simulator(Simulator* root, uint32_t domain) : root_(root), domain_(domain) {}
+
+  Engine& engine() const { return *root_->engine_; }
+
+  // The engine loop: executes events in (when, domain, band, seq) order until
+  // the heap drains, the next event lies past `deadline`, or `max_events`
+  // have run.  Returns the number of events executed.
+  uint64_t Loop(SimTime deadline, uint64_t max_events);
+
+  // Flushes the tallies into the attached instruments.
+  void PublishMetrics();
+
+  Simulator* root_;                 // this, on the root
   uint32_t domain_ = 0;
-
-  SimTime now_ = 0;
-  uint64_t next_seq_ = 0;  // band-0 FIFO order for this domain
-  EventHeap queue_;
-
-  // Event tallies, published by the core at its flush points.  Fired events
-  // double as the per-domain engine.domain_events gauge.
-  uint64_t tally_scheduled_ = 0;
-  uint64_t tally_fired_ = 0;
-  uint64_t tally_cancelled_ = 0;
+  std::unique_ptr<Engine> engine_;  // root only
 };
 
 // Re-arms itself every `period` until stopped.  Used for watchdog "are you

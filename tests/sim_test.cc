@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "src/obs/metrics.h"
-#include "src/sim/parallel.h"
 #include "src/sim/simulator.h"
 #include "src/sim/stats.h"
 
@@ -301,9 +300,8 @@ TEST(PeriodicTask, StopThenStartFromInsideOwnCallbackContinues) {
   task.Stop();
 }
 
-// Multi-domain cores merge their private queues into one global order:
-// (when, domain-id), with same-instant cross-domain handoffs after local
-// events.
+// A multi-domain engine orders its one heap by (when, domain-id), with
+// same-instant cross-domain handoffs after local events.
 TEST(Simulator, MultiDomainEventsMergeInTimeThenDomainOrder) {
   Simulator root;
   Simulator* a = root.AddDomain();
@@ -342,7 +340,52 @@ TEST(Simulator, HandoffsFireAfterLocalEventsInSenderRankOrder) {
   root.Run();
 
   EXPECT_EQ(order, (std::vector<std::string>{"local", "fromB", "fromA"}));
-  EXPECT_EQ(root.core().engine_stats().handoffs, 2u);
+  EXPECT_EQ(root.engine_stats().handoffs, 2u);
+}
+
+// One heap serves every domain, so an EventId names exactly one event:
+// cancelling it through any domain view cancels that event and no other.
+TEST(Simulator, EventIdsAreUniqueAcrossDomains) {
+  Simulator root;
+  Simulator* a = root.AddDomain();
+  Simulator* b = root.AddDomain();
+  int a_fired = 0;
+  int b_fired = 0;
+  const EventId from_a = a->ScheduleAt(Millis(1), [&] { ++a_fired; });
+  const EventId from_b = b->ScheduleAt(Millis(1), [&] { ++b_fired; });
+  EXPECT_NE(from_a, from_b);
+
+  EXPECT_TRUE(b->Cancel(from_a));
+  EXPECT_FALSE(root.Cancel(from_a)) << "a handle cancels once";
+  EXPECT_EQ(a->pending_events(), 0u);
+  EXPECT_EQ(b->pending_events(), 1u);
+  root.Run();
+  EXPECT_EQ(a_fired, 0);
+  EXPECT_EQ(b_fired, 1);
+}
+
+// One clock: a domain reads the engine's time even while another domain's
+// event runs, schedules relative to it, and every view reads the deadline
+// after RunUntil.
+TEST(Simulator, EveryDomainReadsTheGlobalClock) {
+  Simulator root;
+  Simulator* x = root.AddDomain();
+  Simulator* y = root.AddDomain();
+  SimTime x_during_y = 0;
+  SimTime x_follow_up = 0;
+  x->ScheduleAt(Millis(1), [] {});
+  y->ScheduleAt(Millis(5), [&] {
+    x_during_y = x->Now();
+    x->ScheduleAfter(Millis(1), [&] { x_follow_up = x->Now(); });
+  });
+  root.Run();
+  EXPECT_EQ(x_during_y, Millis(5));
+  EXPECT_EQ(x_follow_up, Millis(6));
+
+  root.RunUntil(Millis(20));
+  for (const Simulator* view : {&root, x, y}) {
+    EXPECT_EQ(view->Now(), Millis(20)) << "domain " << view->domain();
+  }
 }
 
 struct DomainLog {
