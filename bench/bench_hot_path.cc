@@ -9,12 +9,16 @@
 //     publishing every message);
 //   - bytes physically copied and logically shared per published message on
 //     a fault-free run (the zero-copy acceptance criterion: copied == 0);
+//   - link-layer CRC computations per frame sent on that run (the
+//     verify-once criterion: exactly 1, at LinkWrap; every receiver's
+//     LinkUnwrap of the sealed payload skips it);
 //   - recorder publish-path saturation: how many overheard messages per
 //     wall-clock second the record-and-append path absorbs.
 //
 // The binary exits non-zero if the determinism self-check fails (two
-// identical instrumented runs must serialize byte-identical metrics), so CI
-// can gate on it.
+// identical instrumented runs must serialize byte-identical metrics), if a
+// fault-free run copies payload bytes, or if it computes other than one
+// link CRC per frame, so CI can gate on all three.
 
 #include <benchmark/benchmark.h>
 
@@ -107,10 +111,25 @@ void RunEventThroughput(BenchJson& json) {
 
 struct FrameRun {
   double wall_seconds = 0;
+  uint64_t frames_sent = 0;
   uint64_t frames_delivered = 0;
   uint64_t messages_published = 0;
   BufferStats buffers;
 };
+
+// Frames the transport endpoints (every node's kernel and the recorder) have
+// handed to the medium: each one is exactly one LinkWrap.
+uint64_t FramesSent(PublishingSystem& system) {
+  uint64_t frames = 0;
+  auto add = [&frames](const TransportStats& stats) {
+    frames += stats.data_sent + stats.acks_sent;
+  };
+  for (NodeId node : system.cluster().node_ids()) {
+    add(system.cluster().kernel(node)->endpoint().stats());
+  }
+  add(system.recorder().endpoint().stats());
+  return frames;
+}
 
 FrameRun RunFramePath(uint64_t pings) {
   PublishingSystemConfig config;
@@ -124,6 +143,7 @@ FrameRun RunFramePath(uint64_t pings) {
   system.cluster().Spawn(NodeId{1}, "pinger", {Link{*echo, 1, 0, 0}});
 
   ResetBufferStats();
+  const uint64_t frames_before = FramesSent(system);
   const auto start = std::chrono::steady_clock::now();
   // Step until every ping has been overheard and published (the recovery
   // manager's watchdogs re-arm forever, so the queue never drains on its own).
@@ -132,6 +152,7 @@ FrameRun RunFramePath(uint64_t pings) {
   FrameRun run;
   run.wall_seconds = SecondsSince(start);
   run.buffers = GetBufferStats();
+  run.frames_sent = FramesSent(system) - frames_before;
   run.frames_delivered = system.cluster().medium().stats().frames_delivered;
   run.messages_published = system.recorder().stats().messages_published;
   return run;
@@ -167,6 +188,21 @@ void RunFramePathBench(BenchJson& json) {
     std::exit(1);
   }
   std::printf("  zero-copy check       : PASS (0 bytes copied outside faults/disk)\n");
+
+  const double crcs_per_frame =
+      static_cast<double>(run.buffers.link_crcs) / static_cast<double>(run.frames_sent);
+  std::printf("  link CRCs computed    : %llu for %llu frames sent (%.3f per frame)\n",
+              static_cast<unsigned long long>(run.buffers.link_crcs),
+              static_cast<unsigned long long>(run.frames_sent), crcs_per_frame);
+  json.Set("link_crcs_per_frame", crcs_per_frame);
+  if (run.buffers.link_crcs != run.frames_sent) {
+    std::fprintf(stderr,
+                 "hot_path: FAIL — %.3f link CRCs per frame on a fault-free path "
+                 "(expected exactly 1: LinkWrap computes it, sealed unwraps reuse it)\n",
+                 crcs_per_frame);
+    std::exit(1);
+  }
+  std::printf("  verify-once check     : PASS (1 CRC per frame)\n");
 }
 
 // ---------------------------------------------------------------------------
@@ -194,7 +230,7 @@ void RunRecorderSaturation(BenchJson& json) {
   for (uint64_t seq = 1; seq <= kMessages; ++seq) {
     packet.header.id = MessageId{packet.header.src_process, seq};
     Buffer wire{SerializePacket(packet)};
-    if (!system.recorder().RecordParsedPacket(packet, wire)) {
+    if (!system.recorder().RecordParsedPacket(packet.header, wire)) {
       std::fprintf(stderr, "hot_path: recorder refused message %llu\n",
                    static_cast<unsigned long long>(seq));
       std::exit(1);

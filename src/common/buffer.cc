@@ -28,14 +28,18 @@ BufferStats GetBufferStats() { return g_stats; }
 
 void ResetBufferStats() { g_stats = BufferStats{}; }
 
+void CountLinkCrc() { ++g_stats.link_crcs; }
+
 void SetBufferStatsSink(BufferStatsSink* sink) { g_sink = sink; }
 
 BufferStatsSink* GetBufferStatsSink() { return g_sink; }
 
-Buffer::Buffer(Bytes&& bytes)
-    : storage_(std::make_shared<const Bytes>(std::move(bytes))),
+Buffer::Buffer(Bytes&& bytes) : Buffer(std::move(bytes), /*sealed=*/false) {}
+
+Buffer::Buffer(Bytes&& bytes, bool sealed)
+    : storage_(std::make_shared<const Storage>(Storage{std::move(bytes), sealed})),
       offset_(0),
-      length_(storage_->size()) {}
+      length_(storage_->bytes.size()) {}
 
 Buffer Buffer::CopyOf(std::span<const uint8_t> bytes) {
   NoteCopy(bytes.size());

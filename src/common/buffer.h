@@ -19,6 +19,11 @@
 //     bytes (disk encode paths, legacy APIs); also counted as copied.
 //   - Sharing (Buffer copy construction/assignment) is counted in
 //     buf.bytes_shared so benchmarks can prove the share/copy ratio.
+//   - A storage block may carry a link-layer seal: its last 4 bytes are the
+//     CRC-32 of the rest, computed when LinkWrap froze it.  Only LinkWrap
+//     can set the seal, and only a view of the whole block reports it;
+//     every clone (MutateCopy, CopyOf, ToBytes, Buffer(Bytes&&)) starts
+//     unsealed.
 //
 // Counters are plain process-wide uint64s so the hot path never touches a
 // registry by default; PublishingSystem::EnableObservability installs a
@@ -45,11 +50,17 @@ struct BufferStats {
   uint64_t bytes_shared = 0;   // bytes logically duplicated by refcount bump
   uint64_t copies = 0;         // number of physical copy operations
   uint64_t shares = 0;         // number of refcount-bump duplications
+  uint64_t link_crcs = 0;      // link-layer CRC-32 computations (CountLinkCrc)
 };
 
 // Snapshot of the counters since process start (or since ResetBufferStats).
 BufferStats GetBufferStats();
 void ResetBufferStats();
+
+// Counts one link-layer CRC computation into BufferStats::link_crcs.  The
+// link layer calls it for every CRC it actually computes: one per LinkWrap
+// and one per LinkUnwrap of an unsealed view.
+void CountLinkCrc();
 
 // Optional live tap on the counters.  The observability layer installs one
 // that mirrors copies/shares into MetricsRegistry counters (buf.bytes_copied,
@@ -104,7 +115,7 @@ class Buffer {
   // bytes_copied).  For disk encoders and legacy Bytes-taking APIs.
   Bytes ToBytes() const { return CopyOut(); }
 
-  const uint8_t* data() const { return storage_ ? storage_->data() + offset_ : nullptr; }
+  const uint8_t* data() const { return storage_ ? storage_->bytes.data() + offset_ : nullptr; }
   size_t size() const { return length_; }
   bool empty() const { return length_ == 0; }
   uint8_t operator[](size_t i) const { return data()[i]; }
@@ -117,6 +128,12 @@ class Buffer {
   // 0 for the empty buffer).  For tests and benchmarks.
   long use_count() const { return storage_ ? storage_.use_count() : 0; }
 
+  // True when this view is exactly a storage block LinkWrap sealed, so its
+  // last 4 bytes are known to be the CRC-32 of the rest.
+  bool sealed() const {
+    return storage_ && storage_->sealed && offset_ == 0 && length_ == storage_->bytes.size();
+  }
+
   friend bool operator==(const Buffer& a, const Buffer& b) {
     return a.size() == b.size() &&
            (a.size() == 0 || std::memcmp(a.data(), b.data(), a.size()) == 0);
@@ -128,13 +145,24 @@ class Buffer {
   friend bool operator==(const Bytes& a, const Buffer& b) { return b == a; }
 
  private:
-  Buffer(std::shared_ptr<const Bytes> storage, size_t offset, size_t length)
+  // One immutable storage block: the bytes and, when LinkWrap froze them,
+  // the seal.  One allocation holds it and the refcount.
+  struct Storage {
+    Bytes bytes;
+    bool sealed = false;
+  };
+
+  // The only way to set the seal; LinkWrap has just written the trailer.
+  friend Buffer LinkWrap(Bytes body);
+  Buffer(Bytes&& bytes, bool sealed);
+
+  Buffer(std::shared_ptr<const Storage> storage, size_t offset, size_t length)
       : storage_(std::move(storage)), offset_(offset), length_(length) {}
 
   // Physical copy of the visible window, counted in bytes_copied.
   Bytes CopyOut() const;
 
-  std::shared_ptr<const Bytes> storage_;
+  std::shared_ptr<const Storage> storage_;
   size_t offset_ = 0;
   size_t length_ = 0;
 };

@@ -21,6 +21,13 @@ namespace publishing {
 
 using Bytes = std::vector<uint8_t>;
 
+// Encoded sizes of the fixed-width fields below, for encoders that reserve
+// their exact length.
+inline constexpr size_t kNodeIdBytes = 4;
+inline constexpr size_t kProcessIdBytes = kNodeIdBytes + 4;
+inline constexpr size_t kMessageIdBytes = kProcessIdBytes + 8;
+inline constexpr size_t kLengthPrefixBytes = 4;  // WriteBytes / WriteString.
+
 // Appends primitive values to a growing byte buffer in little-endian order.
 class Writer {
  public:
@@ -64,6 +71,10 @@ class Writer {
     bytes_.insert(bytes_.end(), data.begin(), data.end());
   }
 
+  // Pre-sizes the buffer for encoders that know their total length, so the
+  // writes that follow never reallocate.
+  void Reserve(size_t bytes) { bytes_.reserve(bytes); }
+
   const Bytes& bytes() const { return bytes_; }
   Bytes TakeBytes() { return std::move(bytes_); }
   size_t size() const { return bytes_.size(); }
@@ -71,8 +82,10 @@ class Writer {
  private:
   template <typename T>
   void WriteLittleEndian(T v) {
+    const size_t at = bytes_.size();
+    bytes_.resize(at + sizeof(T));
     for (size_t i = 0; i < sizeof(T); ++i) {
-      bytes_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+      bytes_[at + i] = static_cast<uint8_t>(v >> (8 * i));
     }
   }
 
@@ -120,6 +133,14 @@ class Reader {
   }
 
   Result<Bytes> ReadBytes() {
+    auto view = ReadBytesView();
+    if (!view.ok()) {
+      return view.status();
+    }
+    return Bytes(view->begin(), view->end());
+  }
+  // Length-prefixed byte string as a view of the input: no copy.
+  Result<std::span<const uint8_t>> ReadBytesView() {
     auto len = ReadU32();
     if (!len.ok()) {
       return len.status();
@@ -127,8 +148,7 @@ class Reader {
     if (remaining() < *len) {
       return Underrun("bytes body");
     }
-    Bytes out(data_.begin() + static_cast<ptrdiff_t>(pos_),
-              data_.begin() + static_cast<ptrdiff_t>(pos_ + *len));
+    std::span<const uint8_t> out = data_.subspan(pos_, *len);
     pos_ += *len;
     return out;
   }

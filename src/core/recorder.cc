@@ -89,14 +89,14 @@ bool Recorder::OnWireFrame(const Frame& frame) {
   if (!body.ok()) {
     return false;  // We could not read it; nobody may use it.
   }
-  auto packet = ParsePacket(*body);
-  if (!packet.ok()) {
+  auto header = ParsePacketHeader(*body);
+  if (!header.ok()) {
     return false;
   }
-  return RecordParsedPacket(*packet, *body);
+  return RecordParsedPacket(*header, *body);
 }
 
-bool Recorder::RecordParsedPacket(const Packet& packet, const Buffer& wire_body) {
+bool Recorder::RecordParsedPacket(const PacketHeader& header, const Buffer& wire_body) {
   if (down_) {
     return false;
   }
@@ -105,12 +105,12 @@ bool Recorder::RecordParsedPacket(const Packet& packet, const Buffer& wire_body)
   // ours to record or veto — the destination's home recorder gates it on the
   // segment where it is finally delivered.
   const bool src_scope =
-      !options_.responsible_for || options_.responsible_for(packet.header.src_node);
+      !options_.responsible_for || options_.responsible_for(header.src_node);
   const bool dst_scope =
-      packet.header.dst_node == kBroadcastNode
+      header.dst_node == kBroadcastNode
           ? src_scope
           : !options_.responsible_for ||
-                options_.responsible_for(packet.header.dst_node);
+                options_.responsible_for(header.dst_node);
   if (!src_scope && !dst_scope) {
     ++stats_.transit_skipped;
     return true;
@@ -118,12 +118,12 @@ bool Recorder::RecordParsedPacket(const Packet& packet, const Buffer& wire_body)
   const size_t wire_bytes = wire_body.size();
   if (lifecycle_ != nullptr) {
     CausalContext ctx;
-    ctx.id = packet.header.id;
-    ctx.origin = packet.header.src_node;
-    ctx.flags = packet.header.flags;
+    ctx.id = header.id;
+    ctx.origin = header.src_node;
+    ctx.flags = header.flags;
     lifecycle_->Observe(ctx, LifecycleStage::kOverheard, options_.node);
   }
-  if (packet.header.replay()) {
+  if (header.replay()) {
     ++stats_.replay_seen;
     return true;  // Recovery injections are already in the log.
   }
@@ -132,13 +132,13 @@ bool Recorder::RecordParsedPacket(const Packet& packet, const Buffer& wire_body)
   // our own senders: a foreign sender's watermark lives with its home
   // recorder, which overhears every frame that sender puts on its segment.
   if (src_scope) {
-    storage_->RecordSent(packet.header.src_process, packet.header.id.sequence);
+    storage_->RecordSent(header.src_process, header.id.sequence);
   }
-  if (packet.header.control()) {
+  if (header.control()) {
     ++stats_.control_seen;
     return true;
   }
-  if (!packet.header.guaranteed()) {
+  if (!header.guaranteed()) {
     // Unguaranteed messages carry dated data by contract (§4.3.3) and are
     // not replayed.
     return true;
@@ -166,21 +166,21 @@ bool Recorder::RecordParsedPacket(const Packet& packet, const Buffer& wire_body)
     tracer_->Complete(span_start, "recorder.publish", "recorder",
                       obs_track::kRecorder,
                       {{"bytes", std::to_string(wire_bytes)},
-                       {"dst_node", std::to_string(packet.header.dst_node.value)}});
+                       {"dst_node", std::to_string(header.dst_node.value)}});
   }
   // Append the overheard wire bytes themselves (ParsePacket is the exact
   // inverse of SerializePacket, so `wire_body` IS the serialized packet):
   // the log entry shares the frame's storage instead of re-serializing.
   if (options_.node_unit) {
-    storage_->AppendNodeMessage(packet.header.dst_node, packet.header.id, wire_body);
+    storage_->AppendNodeMessage(header.dst_node, header.id, wire_body);
   } else {
-    storage_->AppendMessage(packet.header.dst_process, packet.header.id, wire_body);
+    storage_->AppendMessage(header.dst_process, header.id, wire_body);
   }
   if (lifecycle_ != nullptr) {
     CausalContext ctx;
-    ctx.id = packet.header.id;
-    ctx.origin = packet.header.src_node;
-    ctx.flags = packet.header.flags;
+    ctx.id = header.id;
+    ctx.origin = header.src_node;
+    ctx.flags = header.flags;
     lifecycle_->Observe(ctx, LifecycleStage::kPublished, options_.node);
   }
   return true;

@@ -118,11 +118,12 @@ class Recorder : public PromiscuousListener, public ReadOrderFeed {
 
   // Records one overheard data packet.  `wire_body` is the link-unwrapped
   // frame payload — the exact SerializePacket bytes, shared with the frame —
-  // and `packet` its parsed form; appending `wire_body` directly is what
-  // keeps the publish path zero-copy (no re-serialization).  Returns false if
-  // this recorder is down.  Factored out so a RecorderGroup can share the
-  // parse across members.
-  bool RecordParsedPacket(const Packet& packet, const Buffer& wire_body);
+  // and `header` its parsed header (ParsePacketHeader), all the recorder
+  // reads; appending `wire_body` directly is what keeps the publish path
+  // zero-copy (no re-serialization).  Returns false if this recorder is
+  // down.  Factored out so a RecorderGroup can share the parse across
+  // members.
+  bool RecordParsedPacket(const PacketHeader& header, const Buffer& wire_body);
 
   // Resolves the recorder's instruments (recorder.* series) and keeps the
   // tracer for per-message publish spans.  Forwards to the owned endpoint.

@@ -1,5 +1,7 @@
 #include "src/core/recorder_group.h"
 
+#include <optional>
+
 #include "src/net/link_layer.h"
 
 namespace publishing {
@@ -62,10 +64,16 @@ bool RecorderGroup::OnWireFrame(const Frame& frame) {
   if (!body.ok()) {
     return false;
   }
-  auto packet = ParsePacket(*body);
-  if (!packet.ok()) {
+  auto header = ParsePacketHeader(*body);
+  if (!header.ok()) {
     return false;
   }
+  // Recording reads only the header.  The body is parsed only for a notice
+  // a secondary applies, once per frame.
+  const bool is_notice =
+      header->control() &&
+      header->dst_process == ProcessId{Cluster::kRecorderNode, NodeKernel::kKernelLocalId};
+  std::optional<Packet> notice;
 
   bool any_up = false;
   bool all_functioning_recorded = true;
@@ -74,19 +82,21 @@ bool RecorderGroup::OnWireFrame(const Frame& frame) {
       continue;
     }
     any_up = true;
-    if (!member->recorder->RecordParsedPacket(*packet, *body)) {
+    if (!member->recorder->RecordParsedPacket(*header, *body)) {
       all_functioning_recorded = false;
     }
     // Secondaries overhear the notices the primary receives over its
     // endpoint; applying them at the tap keeps every member's database
     // current (idempotent, so the primary applying twice is harmless —
     // except for the primary itself, which applies via its endpoint).
-    if (member->recorder->node() != Cluster::kRecorderNode && packet->header.control() &&
-        packet->header.dst_process ==
-            ProcessId{Cluster::kRecorderNode, NodeKernel::kKernelLocalId}) {
-      member->recorder->ApplyNotice(*packet);
-      if (PeekOp(packet->body) == KernelOp::kNoticeCrash) {
-        auto target = DecodeRecoveryTarget(packet->body);
+    if (member->recorder->node() != Cluster::kRecorderNode && is_notice) {
+      if (!notice) {
+        // Cannot fail: ParsePacketHeader accepted the same framing.
+        notice = ParsePacket(*body).value();
+      }
+      member->recorder->ApplyNotice(*notice);
+      if (PeekOp(notice->body) == KernelOp::kNoticeCrash) {
+        auto target = DecodeRecoveryTarget(notice->body);
         if (target.ok()) {
           member->manager->OnProcessCrashNotice(target->pid);
         }

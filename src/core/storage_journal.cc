@@ -9,11 +9,17 @@ namespace publishing {
 
 namespace {
 
-Writer BeginRecord(JournalOp op) {
+Writer BeginRecord(JournalOp op, size_t record_bytes = 0) {
   Writer w;
+  w.Reserve(record_bytes);
   w.WriteU8(static_cast<uint8_t>(op));
   return w;
 }
+
+// Sizes of the op byte and a u64, for the per-message encoders that reserve
+// their record up front.
+constexpr size_t kOpBytes = 1;
+constexpr size_t kU64Bytes = 8;
 
 Status Corrupt(const char* what) {
   return Status(StatusCode::kCorrupt, std::string("journal record: ") + what);
@@ -80,7 +86,9 @@ Bytes StorageJournal::EncodeSetHome(const ProcessId& pid, NodeId node) {
 
 Bytes StorageJournal::EncodeAppendMessage(const ProcessId& pid, const MessageId& id,
                                           std::span<const uint8_t> packet) {
-  Writer w = BeginRecord(JournalOp::kAppendMessage);
+  Writer w = BeginRecord(JournalOp::kAppendMessage, kOpBytes + kProcessIdBytes +
+                                                        kMessageIdBytes + kLengthPrefixBytes +
+                                                        packet.size());
   w.WriteProcessId(pid);
   w.WriteMessageId(id);
   w.WriteBytes(packet);
@@ -88,14 +96,15 @@ Bytes StorageJournal::EncodeAppendMessage(const ProcessId& pid, const MessageId&
 }
 
 Bytes StorageJournal::EncodeRecordRead(const ProcessId& reader, const MessageId& id) {
-  Writer w = BeginRecord(JournalOp::kRecordRead);
+  Writer w = BeginRecord(JournalOp::kRecordRead,
+                         kOpBytes + kProcessIdBytes + kMessageIdBytes);
   w.WriteProcessId(reader);
   w.WriteMessageId(id);
   return w.TakeBytes();
 }
 
 Bytes StorageJournal::EncodeRecordSent(const ProcessId& sender, uint64_t seq) {
-  Writer w = BeginRecord(JournalOp::kRecordSent);
+  Writer w = BeginRecord(JournalOp::kRecordSent, kOpBytes + kProcessIdBytes + kU64Bytes);
   w.WriteProcessId(sender);
   w.WriteU64(seq);
   return w.TakeBytes();
@@ -119,7 +128,9 @@ Bytes StorageJournal::EncodeSetRecovering(const ProcessId& pid, bool recovering)
 
 Bytes StorageJournal::EncodeAppendNodeMessage(NodeId node, const MessageId& id,
                                               std::span<const uint8_t> packet) {
-  Writer w = BeginRecord(JournalOp::kAppendNodeMessage);
+  Writer w = BeginRecord(JournalOp::kAppendNodeMessage, kOpBytes + kNodeIdBytes +
+                                                            kMessageIdBytes + kLengthPrefixBytes +
+                                                            packet.size());
   w.WriteNodeId(node);
   w.WriteMessageId(id);
   w.WriteBytes(packet);

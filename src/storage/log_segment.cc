@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -113,19 +114,43 @@ Status SegmentWriter::Open(const std::string& path, uint64_t seq, uint32_t versi
 }
 
 Status SegmentWriter::Append(std::span<const uint8_t> payload) {
+  if (file_ != nullptr && payload.empty()) {
+    return Status::Ok();  // Nothing to frame.
+  }
+  return WriteFrame({}, payload);
+}
+
+Status SegmentWriter::AppendWithLsn(uint64_t lsn, std::span<const uint8_t> record) {
+  uint8_t prefix[kLsnPrefixBytes] = {};
+  for (size_t i = 0; i < kLsnPrefixBytes; ++i) {
+    prefix[i] = static_cast<uint8_t>(lsn >> (8 * i));
+  }
+  return WriteFrame(prefix, record);
+}
+
+Status SegmentWriter::WriteFrame(std::span<const uint8_t> lsn_prefix,
+                                 std::span<const uint8_t> record) {
   if (file_ == nullptr) {
     return Status(StatusCode::kInternal, "segment writer is closed");
   }
-  if (payload.empty()) {
-    return Status::Ok();
+  // Frame header and LSN go out as one small write, the record as another;
+  // the CRC chains over LSN and record as if they were one payload.
+  const size_t payload_len = lsn_prefix.size() + record.size();
+  const uint32_t crc =
+      Crc32Final(Crc32Update(Crc32Update(Crc32Init(), lsn_prefix), record));
+  uint8_t head[kRecordFrameOverhead + kLsnPrefixBytes] = {};
+  for (size_t i = 0; i < 4; ++i) {
+    head[i] = static_cast<uint8_t>(payload_len >> (8 * i));
+    head[4 + i] = static_cast<uint8_t>(crc >> (8 * i));
   }
-  Bytes frame;
-  frame.reserve(kRecordFrameOverhead + payload.size());
-  AppendRecordFrame(frame, payload);
-  if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size()) {
+  std::copy(lsn_prefix.begin(), lsn_prefix.end(), head + kRecordFrameOverhead);
+  const size_t head_len = kRecordFrameOverhead + lsn_prefix.size();
+  if (std::fwrite(head, 1, head_len, file_) != head_len ||
+      (!record.empty() &&
+       std::fwrite(record.data(), 1, record.size(), file_) != record.size())) {
     return IoError("cannot append to segment", path_);
   }
-  bytes_ += frame.size();
+  bytes_ += kRecordFrameOverhead + payload_len;
   return Status::Ok();
 }
 

@@ -54,7 +54,8 @@ Bytes EncodeSegmentHeader(uint64_t seq, uint32_t version = kSegmentFormatVersion
 Result<uint64_t> DecodeSegmentHeader(std::span<const uint8_t> data,
                                      uint32_t* version_out = nullptr);
 
-// Appends one framed record to `out`.
+// Appends one framed record to `out`.  SegmentWriter writes the same bytes
+// without staging them; this is the reference encoder for tests.
 void AppendRecordFrame(Bytes& out, std::span<const uint8_t> payload);
 
 enum class FrameParse {
@@ -76,6 +77,8 @@ FrameDecodeResult DecodeRecordFrame(std::span<const uint8_t> data, size_t offset
 
 // Buffered writer for one segment file.  Append() stages bytes in the stdio
 // buffer; Sync() makes everything appended so far durable (fflush + fsync).
+// Neither append builds a framed copy: the CRC is chained over the payload's
+// pieces and the frame header, LSN and record go to stdio as they are.
 class SegmentWriter {
  public:
   SegmentWriter() = default;
@@ -101,7 +104,12 @@ class SegmentWriter {
   // Creates `path` (truncating any old file) and writes the header.
   Status Open(const std::string& path, uint64_t seq,
               uint32_t version = kSegmentFormatVersion);
+  // Appends one frame whose payload is `payload` (v1 layout).  An empty
+  // payload writes nothing.
   Status Append(std::span<const uint8_t> payload);
+  // Appends one frame whose payload is `lsn` (kLsnPrefixBytes, little-
+  // endian) followed by `record` (v2 layout).
+  Status AppendWithLsn(uint64_t lsn, std::span<const uint8_t> record);
   Status Sync();
   void Close();
 
@@ -112,6 +120,10 @@ class SegmentWriter {
   const std::string& path() const { return path_; }
 
  private:
+  // Writes one frame whose payload is `lsn_prefix` (empty or
+  // kLsnPrefixBytes) followed by `record`.
+  Status WriteFrame(std::span<const uint8_t> lsn_prefix, std::span<const uint8_t> record);
+
   std::FILE* file_ = nullptr;
   std::string path_;
   uint64_t seq_ = 0;

@@ -70,15 +70,6 @@ Result<std::vector<std::string>> ListStripePaths(const std::string& dir) {
 }
 
 namespace {
-// v2 record payload: 8-byte little-endian LSN, then the journal record.
-void FrameLsnPayload(Bytes& out, uint64_t lsn, std::span<const uint8_t> record) {
-  out.reserve(kLsnPrefixBytes + record.size());
-  for (size_t i = 0; i < kLsnPrefixBytes; ++i) {
-    out.push_back(static_cast<uint8_t>(lsn >> (8 * i)));
-  }
-  out.insert(out.end(), record.begin(), record.end());
-}
-
 uint64_t LsnOf(std::span<const uint8_t> payload) {
   if (payload.size() < kLsnPrefixBytes) {
     return 0;
@@ -347,19 +338,22 @@ Status Wal::RollSegment(Stripe& stripe) {
   return Status::Ok();
 }
 
-Status Wal::AppendToStripe(Stripe& stripe, std::span<const uint8_t> payload) {
-  if (stripe.active.bytes() + kRecordFrameOverhead + payload.size() > options_.segment_bytes &&
+Status Wal::AppendToStripe(Stripe& stripe, uint64_t lsn, std::span<const uint8_t> record) {
+  const size_t frame_bytes =
+      kRecordFrameOverhead + (striped_layout_ ? kLsnPrefixBytes : 0) + record.size();
+  if (stripe.active.bytes() + frame_bytes > options_.segment_bytes &&
       stripe.active.bytes() > kSegmentHeaderBytes) {
     Status status = RollSegment(stripe);
     if (!status.ok()) {
       return status;
     }
   }
-  Status status = stripe.active.Append(payload);
+  Status status = striped_layout_ ? stripe.active.AppendWithLsn(lsn, record)
+                                  : stripe.active.Append(record);
   if (!status.ok()) {
     return status;
   }
-  stripe.unsynced_bytes += kRecordFrameOverhead + payload.size();
+  stripe.unsynced_bytes += frame_bytes;
   return Status::Ok();
 }
 
@@ -373,14 +367,7 @@ size_t Wal::RouteStripe(std::span<const uint8_t> record) const {
 Status Wal::Append(std::span<const uint8_t> record, uint64_t now) {
   last_now_ = now;
   Stripe& stripe = stripes_[RouteStripe(record)];
-  Status status;
-  if (striped_layout_) {
-    Bytes payload;
-    FrameLsnPayload(payload, next_lsn_++, record);
-    status = AppendToStripe(stripe, payload);
-  } else {
-    status = AppendToStripe(stripe, record);
-  }
+  Status status = AppendToStripe(stripe, striped_layout_ ? next_lsn_++ : 0, record);
   if (!status.ok()) {
     return status;
   }
@@ -598,9 +585,7 @@ void Wal::PumpCompaction(uint64_t now, bool paced) {
          (wrote == 0 || byte_budget == 0 || staged_bytes < byte_budget)) {
     const Bytes& record = c.records[c.next];
     const size_t target = RouteStripe(record);
-    Bytes payload;
-    FrameLsnPayload(payload, c.first_lsn + c.next, record);
-    Status status = AppendToStripe(stripes_[target], payload);
+    Status status = AppendToStripe(stripes_[target], c.first_lsn + c.next, record);
     if (!status.ok()) {
       // The log is intact, only unrewritten; drop the attempt and let the
       // next checkpoint retrigger.  The partial block is a dangling snapshot
@@ -610,7 +595,7 @@ void Wal::PumpCompaction(uint64_t now, bool paced) {
       return;
     }
     touched[target] = true;
-    staged_bytes += kRecordFrameOverhead + payload.size();
+    staged_bytes += kRecordFrameOverhead + kLsnPrefixBytes + record.size();
     ++wrote;
     ++c.next;
   }

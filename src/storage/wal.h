@@ -205,7 +205,10 @@ class Wal : public StorageBackend {
   Status OpenDirectory();
   Status OpenStripe(Stripe& stripe);
   Status RollSegment(Stripe& stripe);
-  Status AppendToStripe(Stripe& stripe, std::span<const uint8_t> payload);
+  // Frames `record` into the stripe's active segment, rolling it first if
+  // the frame would overflow it.  The striped (v2) layout prefixes `lsn`
+  // inside the frame; the single-chain (v1) layout ignores it.
+  Status AppendToStripe(Stripe& stripe, uint64_t lsn, std::span<const uint8_t> record);
   // force: fsync staged bytes even when no group-commit window is pending
   // (compaction slices stage bytes without opening a window).
   Status SyncStripe(Stripe& stripe, uint64_t now, bool force = false);

@@ -45,6 +45,8 @@ struct PacketHeader {
   bool deliver_to_kernel() const { return (flags & kFlagDeliverToKernel) != 0; }
   bool replay() const { return (flags & kFlagReplay) != 0; }
   bool control() const { return (flags & kFlagControl) != 0; }
+
+  friend bool operator==(const PacketHeader&, const PacketHeader&) = default;
 };
 
 struct Packet {
@@ -74,9 +76,14 @@ struct AckPacket {
 // Parsers take spans so both owned Bytes and shared Buffer views flow in
 // without materializing a copy; ParsePacket is the exact inverse of
 // SerializePacket (the recorder relies on this to append the overheard wire
-// bytes directly instead of re-serializing).
+// bytes directly instead of re-serializing).  The serializers reserve their
+// exact size plus the link trailer, so LinkWrap never reallocates.
 Bytes SerializePacket(const Packet& packet);
 Result<Packet> ParsePacket(std::span<const uint8_t> bytes);
+// Accepts exactly what ParsePacket accepts — header, both length-prefixed
+// strings, no trailing bytes — and returns only the header, copying nothing.
+// For readers that never look at the body (the recorder).
+Result<PacketHeader> ParsePacketHeader(std::span<const uint8_t> bytes);
 
 Bytes SerializeAck(const AckPacket& ack);
 Result<AckPacket> ParseAck(std::span<const uint8_t> bytes);

@@ -35,6 +35,31 @@ void FuzzDecoder(uint64_t seed, Decoder decode) {
 
 TEST(FuzzDecode, Packet) {
   FuzzDecoder(1, [](const Bytes& b) { return ParsePacket(b).ok(); });
+  // The header parser sees the same corpus and accepts exactly what
+  // ParsePacket accepts.
+  FuzzDecoder(1, [](const Bytes& b) {
+    const bool header_ok = ParsePacketHeader(b).ok();
+    EXPECT_EQ(header_ok, ParsePacket(b).ok());
+    return header_ok;
+  });
+  // Garbage almost never frames correctly, so also damage every byte of a
+  // valid packet: header bytes stay parseable, length prefixes do not, and
+  // the two parsers must agree either way.
+  Packet packet;
+  packet.header.id = MessageId{ProcessId{NodeId{1}, 2}, 3};
+  packet.link_blob = Bytes(6, 0xAA);
+  packet.body = Bytes(20, 0xBB);
+  const Bytes valid = SerializePacket(packet);
+  for (size_t i = 0; i < valid.size(); ++i) {
+    Bytes mutated = valid;
+    mutated[i] ^= 0xFF;
+    auto full = ParsePacket(mutated);
+    auto header = ParsePacketHeader(mutated);
+    ASSERT_EQ(header.ok(), full.ok()) << "byte " << i;
+    if (full.ok()) {
+      EXPECT_EQ(*header, full->header) << "byte " << i;
+    }
+  }
 }
 TEST(FuzzDecode, Ack) {
   FuzzDecoder(2, [](const Bytes& b) { return ParseAck(b).ok(); });
@@ -81,8 +106,20 @@ TEST(FuzzDecode, TruncatedValidPacketAlwaysRejected) {
   for (size_t len = 0; len < full.size(); ++len) {
     Bytes prefix(full.begin(), full.begin() + static_cast<ptrdiff_t>(len));
     EXPECT_FALSE(ParsePacket(prefix).ok()) << "prefix length " << len;
+    EXPECT_FALSE(ParsePacketHeader(prefix).ok()) << "prefix length " << len;
   }
   EXPECT_TRUE(ParsePacket(full).ok());
+  auto parsed = ParsePacket(full);
+  auto header = ParsePacketHeader(full);
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_TRUE(header.ok());
+  EXPECT_EQ(*header, parsed->header);
+  EXPECT_EQ(*header, packet.header);
+
+  Bytes trailing = full;
+  trailing.push_back(0);
+  EXPECT_FALSE(ParsePacket(trailing).ok());
+  EXPECT_FALSE(ParsePacketHeader(trailing).ok());
 }
 
 // Bit-flip sweep on a valid node image: decode must not crash, and flips the

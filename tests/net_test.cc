@@ -85,6 +85,62 @@ TEST(LinkLayer, CorruptionIsCopyOnWrite) {
   EXPECT_TRUE(LinkUnwrap(wire).ok()) << "shared original must stay intact";
   EXPECT_FALSE(LinkUnwrap(damaged).ok());
   EXPECT_EQ(GetBufferStats().bytes_copied, wire.size());
+
+  // The seal never vouches for damaged bytes: after a clean, sealed unwrap
+  // of `wire`, a damaged clone of any byte — trailer included — is still
+  // checked and rejected, and so is an invalidated one.
+  ASSERT_TRUE(wire.sealed());
+  ASSERT_TRUE(LinkUnwrap(wire).ok());
+  for (size_t i = 0; i < wire.size(); ++i) {
+    Buffer corrupt = LinkCorrupt(wire, i);
+    EXPECT_FALSE(corrupt.sealed()) << "byte " << i;
+    EXPECT_FALSE(LinkUnwrap(corrupt).ok()) << "byte " << i;
+  }
+  Buffer invalidated = LinkInvalidate(wire);
+  EXPECT_FALSE(invalidated.sealed());
+  EXPECT_FALSE(LinkUnwrap(invalidated).ok());
+  EXPECT_TRUE(LinkUnwrap(wire).ok()) << "shared original must stay intact";
+}
+
+TEST(LinkLayer, OnlyAnExactSealedWindowSkipsTheCrc) {
+  // The sealed payload's leading bytes are themselves a well-formed frame,
+  // so a Slice of them is a frame the CRC accepts — but must still compute.
+  Buffer inner = LinkWrap(Bytes(40, 0x5C));
+  Bytes outer = inner.ToBytes();
+  outer.push_back(0x01);
+  Buffer wire = LinkWrap(std::move(outer));
+  auto crcs = [] { return GetBufferStats().link_crcs; };
+
+  ASSERT_TRUE(wire.sealed());
+  uint64_t before = crcs();
+  ASSERT_TRUE(LinkUnwrap(wire).ok());
+  EXPECT_EQ(crcs(), before) << "the exact sealed window reuses LinkWrap's CRC";
+  Buffer shared = wire;
+  EXPECT_TRUE(shared.sealed()) << "a refcount share views the same block";
+  EXPECT_TRUE(wire.Slice(0, wire.size()).sealed()) << "a whole-block view is exact";
+
+  Buffer slice = wire.Slice(0, inner.size());
+  EXPECT_FALSE(slice.sealed());
+  before = crcs();
+  EXPECT_TRUE(LinkUnwrap(slice).ok());
+  EXPECT_EQ(crcs(), before + 1) << "a Slice is computed";
+  EXPECT_FALSE(LinkUnwrap(wire.Slice(1, wire.size() - 1)).ok());
+
+  Buffer copy = Buffer::CopyOf(wire);
+  EXPECT_FALSE(copy.sealed());
+  before = crcs();
+  EXPECT_TRUE(LinkUnwrap(copy).ok());
+  EXPECT_EQ(crcs(), before + 1) << "CopyOf is computed";
+
+  Bytes flipped = wire.ToBytes();
+  flipped[7] ^= 0x01;
+  EXPECT_FALSE(LinkUnwrap(Buffer::CopyOf(flipped)).ok());
+
+  Bytes wrong_trailer = wire.ToBytes();
+  wrong_trailer.back() ^= 0xFF;
+  Buffer owned(std::move(wrong_trailer));
+  EXPECT_FALSE(owned.sealed());
+  EXPECT_FALSE(LinkUnwrap(owned).ok());
 }
 
 TEST(LinkLayer, InvalidationGuaranteesRejection) {

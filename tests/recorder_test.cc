@@ -88,6 +88,16 @@ TEST(Recorder, CorruptFramesAreVetoed) {
   EXPECT_FALSE(f.recorder.OnWireFrame(frame))
       << "a frame the recorder cannot read must be vetoed";
   EXPECT_EQ(f.recorder.stats().messages_published, 0u);
+
+  // Accepting a clean frame's sealed payload vouches for nothing else: a
+  // damaged copy of that same frame is still checked and vetoed.
+  Frame clean = f.DataFrame(1, 2);
+  EXPECT_TRUE(f.recorder.OnWireFrame(clean));
+  EXPECT_EQ(f.recorder.stats().messages_published, 1u);
+  Frame damaged = clean;
+  damaged.payload = LinkCorrupt(clean.payload, 10);
+  EXPECT_FALSE(f.recorder.OnWireFrame(damaged));
+  EXPECT_EQ(f.recorder.stats().messages_published, 1u);
 }
 
 TEST(Recorder, DownRecorderVetoesEverything) {

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "src/common/rng.h"
 #include "src/core/storage_journal.h"
@@ -437,6 +439,85 @@ TEST(RecoveredDb, TornTailDropsOnlyLastRecord) {
   ASSERT_EQ(replay.size(), 1u);
   EXPECT_EQ(replay[0].id, Mid(a, 1));
   EXPECT_TRUE(recovered->Knows(a));
+}
+
+// Segment writers hand frame header, LSN and record straight to stdio; the
+// files must still be byte for byte what the reference encoder builds:
+// EncodeSegmentHeader, then AppendRecordFrame(lsn ‖ record) per record in
+// the striped (v2) layout and AppendRecordFrame(record) in the v1 layout.
+TEST(Wal, SegmentBytesMatchReferenceEncoder) {
+  auto read_file = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return Bytes(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  };
+  std::vector<Bytes> records;
+  for (uint32_t p = 1; p <= 8; ++p) {
+    for (uint64_t seq = 1; seq <= 4; ++seq) {
+      records.push_back(StorageJournal::EncodeAppendMessage(
+          Pid(p, 100 + p), Mid(Pid(9, 9), seq),
+          MakePayload(5 + 11 * seq, static_cast<uint8_t>(p))));
+    }
+    records.push_back(StorageJournal::EncodeRecordRead(Pid(p, 100 + p), Mid(Pid(9, 9), 1)));
+  }
+  records.push_back(StorageJournal::EncodeRestartNumber(3));
+
+  // v2: a 2-stripe WAL.  LSNs are global, from 1 in append order; each
+  // record lands on the stripe its route key picks.
+  WalOptions striped;
+  striped.dir = TestDir("wal_reference_v2");
+  striped.stripes = 2;
+  {
+    auto wal = Wal::Open(striped);
+    ASSERT_TRUE(wal.ok());
+    for (const Bytes& record : records) {
+      ASSERT_TRUE((*wal)->Append(record, 0).ok());
+    }
+    ASSERT_TRUE((*wal)->Sync().ok());
+  }
+  std::vector<Bytes> expected(2, EncodeSegmentHeader(1, kSegmentFormatVersionLsn));
+  uint64_t lsn = 1;
+  for (const Bytes& record : records) {
+    Bytes payload;
+    for (size_t i = 0; i < kLsnPrefixBytes; ++i) {
+      payload.push_back(static_cast<uint8_t>(lsn >> (8 * i)));
+    }
+    ++lsn;
+    payload.insert(payload.end(), record.begin(), record.end());
+    AppendRecordFrame(expected[StorageJournal::RouteKey(record) % 2], payload);
+  }
+  for (size_t stripe = 0; stripe < 2; ++stripe) {
+    SCOPED_TRACE(testing::Message() << "stripe " << stripe);
+    EXPECT_GT(expected[stripe].size(), kSegmentHeaderBytes) << "both stripes get records";
+    EXPECT_EQ(read_file(SegmentPath(StripePath(striped.dir, stripe), 1)), expected[stripe]);
+  }
+
+  // v1: a single-chain WAL and a compactor snapshot segment.
+  Bytes expected_v1 = EncodeSegmentHeader(1);
+  for (const Bytes& record : records) {
+    AppendRecordFrame(expected_v1, record);
+  }
+  WalOptions chain;
+  chain.dir = TestDir("wal_reference_v1");
+  {
+    auto wal = Wal::Open(chain);
+    ASSERT_TRUE(wal.ok());
+    for (const Bytes& record : records) {
+      ASSERT_TRUE((*wal)->Append(record, 0).ok());
+    }
+    ASSERT_TRUE((*wal)->Sync().ok());
+  }
+  EXPECT_EQ(read_file(SegmentPath(chain.dir, 1)), expected_v1);
+
+  const std::string snapshot_dir = TestDir("compactor_reference_v1");
+  Compactor compactor{CompactorOptions{}};
+  auto snapshot = compactor.WriteSnapshotSegment(SegmentPath(snapshot_dir, 7), 7, records);
+  ASSERT_TRUE(snapshot.ok());
+  Bytes expected_snapshot = EncodeSegmentHeader(7);
+  for (const Bytes& record : records) {
+    AppendRecordFrame(expected_snapshot, record);
+  }
+  EXPECT_EQ(read_file(snapshot->segment_path), expected_snapshot);
+  EXPECT_EQ(snapshot->bytes_written, expected_snapshot.size());
 }
 
 // ---------------------------------------------------------------------------

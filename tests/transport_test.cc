@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/net/ethernet.h"
+#include "src/net/link_layer.h"
 #include "src/transport/endpoint.h"
 
 namespace publishing {
@@ -75,6 +76,28 @@ TEST(Transport, AckSerializationRoundTrip) {
   EXPECT_EQ(parsed->acked, ack.acked);
   EXPECT_EQ(parsed->from, NodeId{4});
   EXPECT_EQ(parsed->to, NodeId{5});
+}
+
+// Serializers reserve the link trailer, so LinkWrap appends it in place:
+// one vector and one shared storage block per frame, no reallocation.
+TEST(Transport, SerializedPacketLeavesRoomForLinkTrailer) {
+  auto expect_room = [](Bytes bytes) {
+    EXPECT_GE(bytes.capacity(), bytes.size() + kLinkTrailerBytes)
+        << "size " << bytes.size() << ", capacity " << bytes.capacity();
+    const uint8_t* data = bytes.data();
+    Buffer wire = LinkWrap(std::move(bytes));
+    EXPECT_EQ(wire.data(), data) << "LinkWrap reallocated the frame";
+  };
+  for (size_t body : {0, 8, 100, 1024}) {
+    SCOPED_TRACE(testing::Message() << "body " << body);
+    Packet packet;
+    packet.header.id = MessageId{ProcessId{NodeId{1}, 2}, 3};
+    packet.header.flags = kFlagGuaranteed;
+    packet.body = Bytes(body, 0x33);
+    expect_room(SerializePacket(packet));
+  }
+  SCOPED_TRACE("ack");
+  expect_room(SerializeAck(AckPacket{MessageId{ProcessId{NodeId{1}, 2}, 3}, NodeId{4}, NodeId{1}}));
 }
 
 TEST(Transport, GuaranteedDeliveryOnCleanNetwork) {
