@@ -110,7 +110,6 @@ StripedPublishRow MeasureStripedPublish(size_t stripes) {
   WalOptions options;
   options.dir = FreshDir("stripes_" + std::to_string(stripes));
   options.stripes = stripes;
-  options.concurrent_compaction = true;  // Striped layout at s=1 too.
   options.adaptive.enabled = true;
   options.adaptive.min_records = 4;
   options.adaptive.max_records = 64;

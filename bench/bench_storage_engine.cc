@@ -88,7 +88,6 @@ void RunStripeSweep(BenchJson& json) {
     options.segment_bytes = 32u << 20;
     options.group_commit_records = 32;
     options.stripes = stripes;
-    options.concurrent_compaction = true;  // Force the striped layout at s=1 too.
     options.disk.enabled = true;
     auto wal = Wal::Open(options);
     if (!wal.ok()) {
@@ -159,7 +158,6 @@ void RunAckFlatness(BenchJson& json) {
     options.segment_bytes = 32u << 20;
     options.group_commit_records = 32;
     options.stripes = stripes;
-    options.concurrent_compaction = true;
     options.adaptive.enabled = true;
     options.adaptive.min_records = 4;
     options.adaptive.max_records = 256;
@@ -304,7 +302,6 @@ void RunCompactionStall(BenchJson& json) {
     options.segment_bytes = 256u << 10;
     options.group_commit_records = 16;
     options.stripes = 4;
-    options.concurrent_compaction = true;  // Same layout; the *call pattern* differs.
     options.compactor.min_bytes = 1;
     options.compactor.slice_records = 64;
     // Snapshot records here are whole process images (~18 KB each), so the
@@ -461,8 +458,8 @@ void PrintAppendTable(BenchJson& json) {
 }
 
 // Fills a log with `messages` journaled appends through a real StableStorage
-// (so the rebuild replays genuine records), optionally compacting at the
-// end, then times RecoverStableStorage.
+// (so the rebuild replays genuine records), optionally reading them all and
+// compacting at the end, then times RecoverStableStorage.
 void PrintRebuildTable(BenchJson& json) {
   PrintHeader("Storage engine: rebuild time vs log size");
   std::printf("  %-10s %12s %10s %12s %12s\n", "messages", "log bytes", "compact", "records",
@@ -488,8 +485,12 @@ void PrintRebuildTable(BenchJson& json) {
           db.AppendMessage(pid, MessageId{pid, i}, Bytes(256, 0x5a));
         }
         if (compacted) {
-          // A checkpoint subsumes the whole log; compaction rewrites the
-          // (small) live image and deletes the message tail.
+          // The process reads every message and a checkpoint subsumes the
+          // reads; compaction rewrites the (small) live image and deletes
+          // the message tail.
+          for (uint64_t i = 1; i <= messages; ++i) {
+            db.RecordRead(pid, MessageId{pid, i});
+          }
           db.StoreCheckpoint(pid, Bytes(1024, 0x11), messages);
           (*wal)->CompactNow();
         }

@@ -88,22 +88,7 @@ PublishingSystem::~PublishingSystem() {
 void PublishingSystem::EnableObservability(const Observability& obs) {
   obs_ = obs;
   sim().SetObservability(obs);
-  const char* label = "ethernet";
-  switch (config_.cluster.medium) {
-    case MediumKind::kEthernet:
-      label = "ethernet";
-      break;
-    case MediumKind::kAcknowledgingEthernet:
-      label = "ack_ethernet";
-      break;
-    case MediumKind::kStarHub:
-      label = "star_hub";
-      break;
-    case MediumKind::kTokenRing:
-      label = "token_ring";
-      break;
-  }
-  cluster_->medium().SetObservability(obs, label);
+  cluster_->medium().SetObservability(obs, MediumLabel(config_.cluster.medium));
   recorder_->SetObservability(obs);  // Covers the recorder's own endpoint.
   storage_.SetLifecycle(obs.lifecycle, Cluster::kRecorderNode);
   for (NodeId node : cluster_->node_ids()) {

@@ -136,7 +136,7 @@ Status ReplayDebugger::Initialize() {
     api_->TakeSends();  // OnStart outputs are not attributed to a step.
   }
 
-  replay_ = storage_->ReplayList(target_);
+  replay_ = storage_->Replay(target_);
   cursor_ = 0;
   initialized_ = true;
   return Status::Ok();

@@ -78,7 +78,7 @@ class ReplayDebugger {
   ProcessId target_;
   std::unique_ptr<UserProgram> program_;
   std::unique_ptr<OfflineApi> api_;
-  std::vector<LogEntry> replay_;
+  ReplayCursor replay_;
   size_t cursor_ = 0;
   uint64_t steps_ = 0;
   bool initialized_ = false;

@@ -392,10 +392,6 @@ ReplayCursor StableStorage::Replay(const ProcessId& pid) const {
   return ReplayCursor(std::move(out));
 }
 
-std::vector<LogEntry> StableStorage::ReplayList(const ProcessId& pid) const {
-  return std::move(Replay(pid)).TakeEntries();
-}
-
 Result<ProcessLogInfo> StableStorage::Info(const ProcessId& pid) const {
   auto it = logs_.find(pid);
   if (it == logs_.end()) {

@@ -72,10 +72,6 @@ class ReplayCursor {
   std::vector<LogEntry>::const_iterator begin() const { return entries_.begin(); }
   std::vector<LogEntry>::const_iterator end() const { return entries_.end(); }
 
-  // Compatibility escape hatch for callers that still want the materialized
-  // list (ReplayList).  Rvalue-only: the cursor is spent afterwards.
-  std::vector<LogEntry> TakeEntries() && { return std::move(entries_); }
-
  private:
   std::vector<LogEntry> entries_;
   size_t payload_bytes_ = 0;
@@ -203,9 +199,6 @@ class StableStorage {
   // re-sort happens here — and zero payload bytes are copied (every item
   // shares the stored Buffer).
   ReplayCursor Replay(const ProcessId& pid) const;
-  // Compatibility wrapper over Replay() for callers wanting the materialized
-  // vector.  Same order, same cost: no per-attempt re-sort, payloads shared.
-  std::vector<LogEntry> ReplayList(const ProcessId& pid) const;
   Result<ProcessLogInfo> Info(const ProcessId& pid) const;
   uint64_t LastSent(const ProcessId& pid) const;
   // Every non-destroyed process the recorder believes should exist, by node.

@@ -4,31 +4,40 @@
 
 namespace publishing {
 
-Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
-  switch (config_.medium) {
-    case MediumKind::kEthernet: {
-      EthernetOptions options = config_.ethernet;
-      options.acknowledging = false;
-      medium_ = std::make_unique<Ethernet>(&sim_, config_.timings, config_.faults, config_.seed,
-                                           options);
-      break;
-    }
-    case MediumKind::kAcknowledgingEthernet: {
-      EthernetOptions options = config_.ethernet;
-      options.acknowledging = true;
-      medium_ = std::make_unique<Ethernet>(&sim_, config_.timings, config_.faults, config_.seed,
-                                           options);
-      break;
-    }
+std::unique_ptr<Medium> MakeMedium(Simulator* sim, MediumKind kind, const MediumTimings& timings,
+                                   const MediumFaults& faults, EthernetOptions ethernet,
+                                   const TokenRingOptions& token_ring, uint64_t seed) {
+  switch (kind) {
+    case MediumKind::kEthernet:
+    case MediumKind::kAcknowledgingEthernet:
+      ethernet.acknowledging = kind == MediumKind::kAcknowledgingEthernet;
+      return std::make_unique<Ethernet>(sim, timings, faults, seed, ethernet);
     case MediumKind::kStarHub:
-      medium_ = std::make_unique<StarHub>(&sim_, config_.timings, config_.faults, config_.seed);
-      break;
+      return std::make_unique<StarHub>(sim, timings, faults, seed);
     case MediumKind::kTokenRing:
-      medium_ = std::make_unique<TokenRing>(&sim_, config_.timings, config_.faults, config_.seed,
-                                            config_.token_ring);
-      break;
+      return std::make_unique<TokenRing>(sim, timings, faults, seed, token_ring);
   }
+  return nullptr;
+}
 
+const char* MediumLabel(MediumKind kind) {
+  switch (kind) {
+    case MediumKind::kEthernet:
+      return "ethernet";
+    case MediumKind::kAcknowledgingEthernet:
+      return "ack_ethernet";
+    case MediumKind::kStarHub:
+      return "star_hub";
+    case MediumKind::kTokenRing:
+      return "token_ring";
+  }
+  return "ethernet";
+}
+
+Cluster::Cluster(ClusterConfig config)
+    : config_(std::move(config)),
+      medium_(MakeMedium(&sim_, config_.medium, config_.timings, config_.faults,
+                         config_.ethernet, config_.token_ring, config_.seed)) {
   registry_.Register("sys.procman", [] { return std::make_unique<ProcessManagerProgram>(); });
   registry_.Register("sys.memsched", [] { return std::make_unique<MemorySchedulerProgram>(); });
   registry_.Register("sys.namesrv", [] { return std::make_unique<NamedLinkServerProgram>(); });

@@ -28,6 +28,15 @@ enum class MediumKind {
   kTokenRing,               // Ring with recorder ack field (§6.1.2).
 };
 
+// Builds the medium of `kind`, scheduling on `sim` and drawing its backoff
+// and fault streams from `seed`.  `ethernet.acknowledging` is set from
+// `kind`; `token_ring` applies to kTokenRing only.
+std::unique_ptr<Medium> MakeMedium(Simulator* sim, MediumKind kind, const MediumTimings& timings,
+                                   const MediumFaults& faults, EthernetOptions ethernet,
+                                   const TokenRingOptions& token_ring, uint64_t seed);
+// The medium's label in metrics and traces.
+const char* MediumLabel(MediumKind kind);
+
 struct ClusterConfig {
   size_t node_count = 3;
   MediumKind medium = MediumKind::kAcknowledgingEthernet;

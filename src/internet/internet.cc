@@ -7,32 +7,6 @@
 
 namespace publishing {
 
-std::unique_ptr<Medium> Internet::MakeMedium(Simulator* sim) {
-  // Same factory as Cluster, but each segment draws a distinct seed so the
-  // segments' backoff/fault streams are independent (and still deterministic
-  // for a fixed config seed), and each medium schedules on its own segment's
-  // simulation domain.
-  const uint64_t seed = config_.seed + segments_.size();
-  switch (config_.medium) {
-    case MediumKind::kEthernet: {
-      EthernetOptions options = config_.ethernet;
-      options.acknowledging = false;
-      return std::make_unique<Ethernet>(sim, config_.timings, config_.faults, seed, options);
-    }
-    case MediumKind::kAcknowledgingEthernet: {
-      EthernetOptions options = config_.ethernet;
-      options.acknowledging = true;
-      return std::make_unique<Ethernet>(sim, config_.timings, config_.faults, seed, options);
-    }
-    case MediumKind::kStarHub:
-      return std::make_unique<StarHub>(sim, config_.timings, config_.faults, seed);
-    case MediumKind::kTokenRing:
-      return std::make_unique<TokenRing>(sim, config_.timings, config_.faults, seed,
-                                         config_.token_ring);
-  }
-  return nullptr;
-}
-
 Internet::Internet(InternetConfig config) : config_(std::move(config)) {
   // Segments first: each one is a self-contained publishing domain — medium,
   // recorder, storage, kernels, and a recovery manager scoped to the
@@ -45,7 +19,12 @@ Internet::Internet(InternetConfig config) : config_(std::move(config)) {
     const size_t id = map_.AddSegment(segment->recorder_node);
     (void)id;
     segment->sim = sim_.AddDomain();
-    segment->medium = MakeMedium(segment->sim);
+    // Each segment draws a distinct seed, so the segments' backoff and fault
+    // streams are independent (and still deterministic for a fixed config
+    // seed), and each medium schedules on its own segment's domain.
+    segment->medium = MakeMedium(segment->sim, config_.medium, config_.timings, config_.faults,
+                                 config_.ethernet, config_.token_ring,
+                                 config_.seed + segments_.size());
 
     RecorderOptions recorder_options = config_.recorder;
     recorder_options.node = segment->recorder_node;

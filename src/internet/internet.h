@@ -195,8 +195,6 @@ class Internet {
     std::unique_ptr<RecoveryManager> recovery;
   };
 
-  std::unique_ptr<Medium> MakeMedium(Simulator* sim);
-
   InternetConfig config_;
   Simulator sim_;
   NameService names_;

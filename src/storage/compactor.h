@@ -1,24 +1,17 @@
-// Checkpoint-triggered log compaction (§5.1).
+// Checkpoint-triggered log compaction policy (§5.1).
 //
 // The paper's storage model discards "messages before the checkpoint"; in a
 // log-structured engine those discards leave dead records behind in old
-// segments.  The compactor rewrites the *live* database image — produced by
+// segments.  The WAL re-journals the *live* database image — produced by
 // the attached StableStorage as a record sequence bracketed by snapshot
-// markers — into one fresh segment, fsyncs it, and only then lets the WAL
-// delete the obsolete segments.  A crash at any point leaves either the old
-// segments (snapshot incomplete: its end marker is missing, so recovery
-// ignores it) or the new one (old segments already deletable), never a state
-// that loses acknowledged records.
+// markers — into a reserved LSN block, and deletes the obsolete segments
+// only once the whole block is durable (wal.h).  The Compactor decides when
+// that rewrite pays for itself and how large each slice of it may be.
 
 #ifndef SRC_STORAGE_COMPACTOR_H_
 #define SRC_STORAGE_COMPACTOR_H_
 
-#include <cstdint>
-#include <string>
-#include <vector>
-
-#include "src/common/serialization.h"
-#include "src/common/status.h"
+#include <cstddef>
 
 namespace publishing {
 
@@ -29,22 +22,15 @@ struct CompactorOptions {
   // Compact when the log has grown past `growth_factor` times its size right
   // after the previous compaction (or its size at open).
   double growth_factor = 2.0;
-  // Concurrent mode (WalOptions::concurrent_compaction): how many live-image
-  // records are re-journaled per pump.  0 means no record-count bound.
+  // How many live-image records are re-journaled per pump.  0 means no
+  // record-count bound.
   size_t slice_records = 64;
-  // Concurrent mode: byte budget per pump.  Snapshot records vary wildly in
-  // size (a process image is one record), so the real bound on how long a
-  // publish can stall behind a slice is bytes of disk service, not record
-  // count.  A pump stops once it has staged this much (always at least one
-  // record); 0 means no byte bound.
+  // Byte budget per pump.  Snapshot records vary wildly in size (a process
+  // image is one record), so the real bound on how long a publish can stall
+  // behind a slice is bytes of disk service, not record count.  A pump stops
+  // once it has staged this much (always at least one record); 0 means no
+  // byte bound.
   size_t slice_bytes = 64 * 1024;
-};
-
-struct CompactionResult {
-  uint64_t segment_seq = 0;   // Sequence of the snapshot segment written.
-  std::string segment_path;
-  size_t bytes_written = 0;   // Size of the snapshot segment.
-  size_t records_written = 0;
 };
 
 class Compactor {
@@ -62,12 +48,6 @@ class Compactor {
     return static_cast<double>(total_bytes) >=
            options_.growth_factor * static_cast<double>(baseline_bytes);
   }
-
-  // Mechanism: writes `records` into a new segment file at `path` with
-  // sequence `seq` and makes it durable before returning.  The caller (the
-  // WAL) deletes the segments it supersedes afterwards.
-  Result<CompactionResult> WriteSnapshotSegment(const std::string& path, uint64_t seq,
-                                                const std::vector<Bytes>& records) const;
 
  private:
   CompactorOptions options_;

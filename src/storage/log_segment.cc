@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -19,17 +18,16 @@ Status IoError(const char* what, const std::string& path) {
 }
 }  // namespace
 
-Bytes EncodeSegmentHeader(uint64_t seq, uint32_t version) {
+Bytes EncodeSegmentHeader(uint64_t seq) {
   Writer w;
   w.WriteRaw(std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(kMagic),
                                       kSegmentMagicBytes));
-  w.WriteU32(version);
+  w.WriteU32(kSegmentFormatVersion);
   w.WriteU64(seq);
   return w.TakeBytes();
 }
 
-Result<uint64_t> DecodeSegmentHeader(std::span<const uint8_t> data,
-                                     uint32_t* version_out) {
+Result<uint64_t> DecodeSegmentHeader(std::span<const uint8_t> data) {
   if (data.size() < kSegmentHeaderBytes) {
     return Status(StatusCode::kCorrupt, "segment shorter than its header");
   }
@@ -38,18 +36,10 @@ Result<uint64_t> DecodeSegmentHeader(std::span<const uint8_t> data,
   }
   Reader r(data.subspan(kSegmentMagicBytes));
   auto version = r.ReadU32();
-  if (!version.ok() || (*version != kSegmentFormatVersion &&
-                        *version != kSegmentFormatVersionLsn)) {
+  if (!version.ok() || *version != kSegmentFormatVersion) {
     return Status(StatusCode::kCorrupt, "unsupported segment format version");
   }
-  auto seq = r.ReadU64();
-  if (!seq.ok()) {
-    return seq.status();
-  }
-  if (version_out != nullptr) {
-    *version_out = *version;
-  }
-  return *seq;
+  return r.ReadU64();
 }
 
 void AppendRecordFrame(Bytes& out, std::span<const uint8_t> payload) {
@@ -96,7 +86,7 @@ FrameDecodeResult DecodeRecordFrame(std::span<const uint8_t> data, size_t offset
 
 SegmentWriter::~SegmentWriter() { Close(); }
 
-Status SegmentWriter::Open(const std::string& path, uint64_t seq, uint32_t version) {
+Status SegmentWriter::Open(const std::string& path, uint64_t seq) {
   Close();
   file_ = std::fopen(path.c_str(), "wb");
   if (file_ == nullptr) {
@@ -105,7 +95,7 @@ Status SegmentWriter::Open(const std::string& path, uint64_t seq, uint32_t versi
   path_ = path;
   seq_ = seq;
   bytes_ = 0;
-  Bytes header = EncodeSegmentHeader(seq, version);
+  Bytes header = EncodeSegmentHeader(seq);
   if (std::fwrite(header.data(), 1, header.size(), file_) != header.size()) {
     return IoError("cannot write segment header", path_);
   }
@@ -113,39 +103,24 @@ Status SegmentWriter::Open(const std::string& path, uint64_t seq, uint32_t versi
   return Status::Ok();
 }
 
-Status SegmentWriter::Append(std::span<const uint8_t> payload) {
-  if (file_ != nullptr && payload.empty()) {
-    return Status::Ok();  // Nothing to frame.
-  }
-  return WriteFrame({}, payload);
-}
-
-Status SegmentWriter::AppendWithLsn(uint64_t lsn, std::span<const uint8_t> record) {
-  uint8_t prefix[kLsnPrefixBytes] = {};
-  for (size_t i = 0; i < kLsnPrefixBytes; ++i) {
-    prefix[i] = static_cast<uint8_t>(lsn >> (8 * i));
-  }
-  return WriteFrame(prefix, record);
-}
-
-Status SegmentWriter::WriteFrame(std::span<const uint8_t> lsn_prefix,
-                                 std::span<const uint8_t> record) {
+Status SegmentWriter::Append(uint64_t lsn, std::span<const uint8_t> record) {
   if (file_ == nullptr) {
     return Status(StatusCode::kInternal, "segment writer is closed");
   }
   // Frame header and LSN go out as one small write, the record as another;
   // the CRC chains over LSN and record as if they were one payload.
-  const size_t payload_len = lsn_prefix.size() + record.size();
-  const uint32_t crc =
-      Crc32Final(Crc32Update(Crc32Update(Crc32Init(), lsn_prefix), record));
   uint8_t head[kRecordFrameOverhead + kLsnPrefixBytes] = {};
+  std::span<const uint8_t> lsn_bytes(head + kRecordFrameOverhead, kLsnPrefixBytes);
+  for (size_t i = 0; i < kLsnPrefixBytes; ++i) {
+    head[kRecordFrameOverhead + i] = static_cast<uint8_t>(lsn >> (8 * i));
+  }
+  const size_t payload_len = kLsnPrefixBytes + record.size();
+  const uint32_t crc = Crc32Final(Crc32Update(Crc32Update(Crc32Init(), lsn_bytes), record));
   for (size_t i = 0; i < 4; ++i) {
     head[i] = static_cast<uint8_t>(payload_len >> (8 * i));
     head[4 + i] = static_cast<uint8_t>(crc >> (8 * i));
   }
-  std::copy(lsn_prefix.begin(), lsn_prefix.end(), head + kRecordFrameOverhead);
-  const size_t head_len = kRecordFrameOverhead + lsn_prefix.size();
-  if (std::fwrite(head, 1, head_len, file_) != head_len ||
+  if (std::fwrite(head, 1, sizeof(head), file_) != sizeof(head) ||
       (!record.empty() &&
        std::fwrite(record.data(), 1, record.size(), file_) != record.size())) {
     return IoError("cannot append to segment", path_);
@@ -191,25 +166,30 @@ Result<SegmentScan> ScanSegment(const std::string& path) {
     return IoError("cannot read segment", path);
   }
 
-  uint32_t version = kSegmentFormatVersion;
-  auto seq = DecodeSegmentHeader(data, &version);
+  auto seq = DecodeSegmentHeader(data);
   if (!seq.ok()) {
     return seq.status();
   }
   SegmentScan scan;
   scan.seq = *seq;
-  scan.version = version;
   size_t offset = kSegmentHeaderBytes;
   for (;;) {
     FrameDecodeResult frame = DecodeRecordFrame(data, offset);
-    if (frame.parse == FrameParse::kOk) {
-      scan.records.emplace_back(frame.payload.begin(), frame.payload.end());
-      offset = frame.next_offset;
+    if (frame.parse != FrameParse::kOk) {
+      scan.tail = frame.parse;
+      scan.clean = frame.parse == FrameParse::kEnd;
+      break;
+    }
+    offset = frame.next_offset;
+    if (frame.payload.size() < kLsnPrefixBytes) {
+      ++scan.short_records;
       continue;
     }
-    scan.tail = frame.parse;
-    scan.clean = frame.parse == FrameParse::kEnd;
-    break;
+    LsnRecord& entry = scan.records.emplace_back();
+    for (size_t i = 0; i < kLsnPrefixBytes; ++i) {
+      entry.lsn |= static_cast<uint64_t>(frame.payload[i]) << (8 * i);
+    }
+    entry.record.assign(frame.payload.begin() + kLsnPrefixBytes, frame.payload.end());
   }
   scan.valid_bytes = offset;
   scan.dropped_bytes = data.size() - offset;

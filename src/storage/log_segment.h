@@ -11,6 +11,11 @@
 //   | len u32 | crc32(payload) u32 | payload ... |
 //   | ...                                        |
 //
+// Every payload is LSN u64 ‖ record: the 8-byte global log sequence number
+// lets recovery merge the WAL's stripes back into one total order.  There is
+// one format version; a header naming any other is rejected, because a
+// segment file is outside input.
+//
 // All integers are little-endian (the Writer/Reader convention).  A crash
 // mid-append leaves a *torn tail*: a record whose length field points past
 // end-of-file, a partial frame header, or a payload whose CRC does not
@@ -32,12 +37,7 @@
 
 namespace publishing {
 
-inline constexpr uint32_t kSegmentFormatVersion = 1;
-// Version 2: every record payload is prefixed with an 8-byte little-endian
-// global log sequence number (LSN).  The striped WAL writes v2 segments so
-// recovery can merge per-stripe chains back into one total order; v1
-// segments (single-chain layout) remain readable.
-inline constexpr uint32_t kSegmentFormatVersionLsn = 2;
+inline constexpr uint32_t kSegmentFormatVersion = 2;
 inline constexpr size_t kLsnPrefixBytes = 8;
 inline constexpr size_t kSegmentMagicBytes = 8;
 inline constexpr size_t kSegmentHeaderBytes = kSegmentMagicBytes + 4 + 8;
@@ -48,14 +48,13 @@ inline constexpr size_t kRecordFrameOverhead = 8;  // len + crc.
 inline constexpr uint32_t kMaxRecordBytes = 64u << 20;
 
 // Returns the 20-byte segment header for segment `seq`.
-Bytes EncodeSegmentHeader(uint64_t seq, uint32_t version = kSegmentFormatVersion);
-// Validates a header; returns the segment sequence number.  `version_out`
-// (optional) receives the format version (1 or 2).
-Result<uint64_t> DecodeSegmentHeader(std::span<const uint8_t> data,
-                                     uint32_t* version_out = nullptr);
+Bytes EncodeSegmentHeader(uint64_t seq);
+// Validates a header; returns the segment sequence number.
+Result<uint64_t> DecodeSegmentHeader(std::span<const uint8_t> data);
 
-// Appends one framed record to `out`.  SegmentWriter writes the same bytes
-// without staging them; this is the reference encoder for tests.
+// Appends one framed record to `out`.  SegmentWriter::Append(lsn, record)
+// writes the bytes of AppendRecordFrame(out, lsn ‖ record) without staging
+// them; this is the reference encoder for tests.
 void AppendRecordFrame(Bytes& out, std::span<const uint8_t> payload);
 
 enum class FrameParse {
@@ -77,8 +76,8 @@ FrameDecodeResult DecodeRecordFrame(std::span<const uint8_t> data, size_t offset
 
 // Buffered writer for one segment file.  Append() stages bytes in the stdio
 // buffer; Sync() makes everything appended so far durable (fflush + fsync).
-// Neither append builds a framed copy: the CRC is chained over the payload's
-// pieces and the frame header, LSN and record go to stdio as they are.
+// Append builds no framed copy: the CRC is chained over LSN and record, and
+// the frame header, LSN and record go to stdio as they are.
 class SegmentWriter {
  public:
   SegmentWriter() = default;
@@ -102,14 +101,10 @@ class SegmentWriter {
   }
 
   // Creates `path` (truncating any old file) and writes the header.
-  Status Open(const std::string& path, uint64_t seq,
-              uint32_t version = kSegmentFormatVersion);
-  // Appends one frame whose payload is `payload` (v1 layout).  An empty
-  // payload writes nothing.
-  Status Append(std::span<const uint8_t> payload);
+  Status Open(const std::string& path, uint64_t seq);
   // Appends one frame whose payload is `lsn` (kLsnPrefixBytes, little-
-  // endian) followed by `record` (v2 layout).
-  Status AppendWithLsn(uint64_t lsn, std::span<const uint8_t> record);
+  // endian) followed by `record`.
+  Status Append(uint64_t lsn, std::span<const uint8_t> record);
   Status Sync();
   void Close();
 
@@ -120,22 +115,22 @@ class SegmentWriter {
   const std::string& path() const { return path_; }
 
  private:
-  // Writes one frame whose payload is `lsn_prefix` (empty or
-  // kLsnPrefixBytes) followed by `record`.
-  Status WriteFrame(std::span<const uint8_t> lsn_prefix, std::span<const uint8_t> record);
-
   std::FILE* file_ = nullptr;
   std::string path_;
   uint64_t seq_ = 0;
   size_t bytes_ = 0;
 };
 
+struct LsnRecord {
+  uint64_t lsn = 0;
+  Bytes record;  // The payload past its LSN.
+};
+
 struct SegmentScan {
   uint64_t seq = 0;
-  uint32_t version = kSegmentFormatVersion;
-  // Raw record payloads in append order.  In a v2 segment each payload still
-  // carries its 8-byte LSN prefix; the caller strips it.
-  std::vector<Bytes> records;
+  std::vector<LsnRecord> records;  // In append order.
+  // CRC-valid frames too short to carry an LSN; skipped, not fatal.
+  size_t short_records = 0;
   bool clean = true;          // False when a torn/corrupt tail was dropped.
   FrameParse tail = FrameParse::kEnd;
   size_t valid_bytes = 0;     // Length of the parseable prefix.

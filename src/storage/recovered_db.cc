@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <iterator>
 
 #include "src/common/logging.h"
 #include "src/core/storage_journal.h"
@@ -17,47 +18,6 @@ bool IsSnapshotOp(JournalOp op) {
          op == JournalOp::kSnapshotNode || op == JournalOp::kSnapshotCounters ||
          op == JournalOp::kSnapshotEnd;
 }
-
-// v1 replay of one segment: records in append order, dangling snapshot
-// detected by a kSnapshotBegin with no kSnapshotEnd later in the *same*
-// segment (a v1 compaction writes the whole snapshot into one segment).
-void ReplaySegmentV1(StableStorage& db, const SegmentScan& scan, const std::string& path,
-                     RecoveryReport& report) {
-  size_t keep = scan.records.size();
-  bool open_snapshot = false;
-  for (size_t i = 0; i < scan.records.size(); ++i) {
-    const JournalOp op = StorageJournal::OpOf(scan.records[i]);
-    if (op == JournalOp::kSnapshotBegin) {
-      keep = i;
-      open_snapshot = true;
-    } else if (op == JournalOp::kSnapshotEnd) {
-      keep = scan.records.size();
-      open_snapshot = false;
-    }
-  }
-  if (open_snapshot) {
-    ++report.dangling_snapshots;
-    report.records_skipped += scan.records.size() - keep;
-  }
-  for (size_t i = 0; i < keep; ++i) {
-    Status status = StorageJournal::Apply(db, scan.records[i]);
-    if (!status.ok()) {
-      PUB_LOG_ERROR("recovery: skipping record %zu of %s: %s", i, path.c_str(),
-                    status.ToString().c_str());
-      ++report.records_skipped;
-      continue;
-    }
-    ++report.records_applied;
-    if (StorageJournal::OpOf(scan.records[i]) == JournalOp::kSnapshotEnd) {
-      ++report.snapshots_applied;
-    }
-  }
-}
-
-struct LsnRecord {
-  uint64_t lsn = 0;
-  Bytes record;  // LSN prefix already stripped.
-};
 
 }  // namespace
 
@@ -76,32 +36,9 @@ Result<StableStorage> RecoverStableStorage(const std::string& dir, RecoveryRepor
     return stripe_dirs.status();
   }
 
-  // Phase 1: top-level segments.  For a v1 directory this is the whole log;
-  // for a striped directory these are legacy pre-striping segments and every
-  // LSN-framed record postdates them, so they replay first either way.
-  auto paths = ListSegmentPaths(dir);
-  if (!paths.ok()) {
-    return paths.status();
-  }
+  // Scan every stripe's chain and merge the records back into the one global
+  // order the recorder journaled in.
   std::vector<LsnRecord> merged;
-  for (const std::string& path : *paths) {
-    auto scan = ScanSegment(path);
-    if (!scan.ok()) {
-      PUB_LOG_ERROR("recovery: skipping unreadable segment %s: %s", path.c_str(),
-                    scan.status().ToString().c_str());
-      ++local.torn_segments;
-      continue;
-    }
-    ++local.segments_scanned;
-    if (!scan->clean) {
-      ++local.torn_segments;
-      local.dropped_tail_bytes += scan->dropped_bytes;
-    }
-    ReplaySegmentV1(db, *scan, path, local);
-  }
-
-  // Phase 2: stripe chains.  Strip each record's LSN prefix and merge the
-  // chains back into the one global order the recorder journaled in.
   for (const std::string& stripe_dir : *stripe_dirs) {
     ++local.stripes_scanned;
     auto stripe_paths = ListSegmentPaths(stripe_dir);
@@ -121,30 +58,14 @@ Result<StableStorage> RecoverStableStorage(const std::string& dir, RecoveryRepor
         ++local.torn_segments;
         local.dropped_tail_bytes += scan->dropped_bytes;
       }
-      if (scan->version != kSegmentFormatVersionLsn) {
-        // A v1 segment inside a stripe directory should not happen; replay
-        // it standalone rather than losing it.
-        ReplaySegmentV1(db, *scan, path, local);
-        continue;
-      }
-      for (Bytes& payload : scan->records) {
-        if (payload.size() < kLsnPrefixBytes) {
-          ++local.records_skipped;
-          continue;
-        }
-        LsnRecord entry;
-        for (size_t i = 0; i < kLsnPrefixBytes; ++i) {
-          entry.lsn |= static_cast<uint64_t>(payload[i]) << (8 * i);
-        }
-        entry.record.assign(payload.begin() + kLsnPrefixBytes, payload.end());
-        merged.push_back(std::move(entry));
-      }
+      local.records_skipped += scan->short_records;
+      std::move(scan->records.begin(), scan->records.end(), std::back_inserter(merged));
     }
   }
   std::sort(merged.begin(), merged.end(),
             [](const LsnRecord& a, const LsnRecord& b) { return a.lsn < b.lsn; });
 
-  // Snapshot-block validation: a concurrent compaction reserved the block
+  // Snapshot-block validation: the compaction reserved the block
   // [end_lsn - n + 1, end_lsn] up front, so the block is trustworthy exactly
   // when that whole range survived — every LSN present (they are unique and
   // sorted, so presence is index arithmetic) and the first record is the

@@ -1,26 +1,23 @@
 // Startup scan: rebuild the recorder database from WAL segments (§4.5,
 // "it is possible to rebuild the data base from the disk").
 //
-// Single-chain (v1) directories replay segments in sequence order; within a
-// segment, records in append order.  Striped (v2) directories — detected by
-// "stripe-<n>/" subdirectories — scan every stripe's chain, then merge all
-// LSN-prefixed records back into one globally ordered stream before replay,
-// so the rebuilt database is bit-identical to what a single chain would have
-// produced.  Legacy top-level segments (written before striping was turned
-// on) replay first: every LSN-framed record postdates them.
+// The scan reads every "stripe-<n>/" chain under the log directory, then
+// merges all LSN-framed records back into the one global order the recorder
+// journaled in before replay, so the rebuilt database does not depend on
+// how many stripes wrote the log.
 //
 // Three kinds of damage are tolerated, never fatal:
 //   * torn tail — a crash mid-append leaves a partial frame at the end of
 //     the then-active segment; only the tail is dropped (log_segment.h).
-//     In a striped directory each stripe tears independently, and because
-//     records route by process hash the loss is a per-process suffix,
+//     Each stripe tears independently, and because records route by process
+//     hash the loss is a per-process suffix,
 //   * corrupt frame — CRC mismatch; the segment is cut at the bad frame,
-//   * dangling snapshot — a crash mid-compaction leaves an unterminated
-//     snapshot; the whole block is discarded (the pre-compaction segments it
-//     would have replaced are only deleted after the snapshot is durable, so
-//     they are still here).  v1 detects the missing kSnapshotEnd within the
-//     segment; v2 validates the block's reserved LSN range [end-n+1, end] is
-//     fully present and starts with kSnapshotBegin.
+//   * dangling snapshot — a crash mid-compaction leaves an incomplete
+//     snapshot block; the whole block is discarded (the pre-compaction
+//     segments it would have replaced are only deleted after the block is
+//     durable, so they are still here).  A block is complete when its
+//     reserved LSN range [end-n+1, end] is fully present and starts with
+//     kSnapshotBegin.
 
 #ifndef SRC_STORAGE_RECOVERED_DB_H_
 #define SRC_STORAGE_RECOVERED_DB_H_
@@ -33,7 +30,7 @@ namespace publishing {
 
 struct RecoveryReport {
   uint64_t segments_scanned = 0;
-  uint64_t stripes_scanned = 0;     // 0 for a single-chain (v1) directory.
+  uint64_t stripes_scanned = 0;
   uint64_t records_applied = 0;
   uint64_t records_skipped = 0;     // Undecodable or inside a dangling snapshot.
   uint64_t torn_segments = 0;       // Segments cut short (torn tail or bad CRC).

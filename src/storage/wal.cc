@@ -69,28 +69,13 @@ Result<std::vector<std::string>> ListStripePaths(const std::string& dir) {
   return paths;
 }
 
-namespace {
-uint64_t LsnOf(std::span<const uint8_t> payload) {
-  if (payload.size() < kLsnPrefixBytes) {
-    return 0;
-  }
-  uint64_t lsn = 0;
-  for (size_t i = 0; i < kLsnPrefixBytes; ++i) {
-    lsn |= static_cast<uint64_t>(payload[i]) << (8 * i);
-  }
-  return lsn;
-}
-}  // namespace
-
 Wal::Wal(WalOptions options)
-    : options_(std::move(options)),
-      striped_layout_(options_.stripes > 1 || options_.concurrent_compaction),
-      compactor_(options_.compactor) {}
+    : options_(std::move(options)), compactor_(options_.compactor) {}
 
 Wal::~Wal() {
   // Best effort: stage-to-disk what we have.  Unsynced records may be lost
   // on a hard crash — that is group commit's contract, not a bug.  An
-  // in-flight concurrent compaction is abandoned: its incomplete LSN block
+  // in-flight paced compaction is abandoned: its incomplete LSN block
   // is a dangling snapshot that recovery ignores, and the pre-capture
   // segments it would have replaced are still on disk.
   for (Stripe& stripe : stripes_) {
@@ -115,17 +100,15 @@ void Wal::SetObservability(const Observability& obs) {
     // timeline samples to see batching ride arrival rate.
     obs_commit_queue_ = obs.metrics->GetGauge("storage.commit_queue_depth");
     obs_commit_queue_->Set(static_cast<double>(PendingRecords()));
-    if (striped_layout_) {
-      for (size_t i = 0; i < stripes_.size(); ++i) {
-        const MetricLabels labels = {{"stripe", std::to_string(i)}};
-        stripes_[i].obs_appends = obs.metrics->GetGauge("storage.stripe_appends", labels);
-        stripes_[i].obs_syncs = obs.metrics->GetGauge("storage.stripe_syncs", labels);
-        stripes_[i].obs_segments = obs.metrics->GetGauge("storage.stripe_segments", labels);
-        stripes_[i].obs_bytes = obs.metrics->GetGauge("storage.stripe_bytes", labels);
-      }
-      obs_imbalance_ = obs.metrics->GetGauge("storage.stripe_imbalance");
-      UpdateStripeGauges();
+    for (size_t i = 0; i < stripes_.size(); ++i) {
+      const MetricLabels labels = {{"stripe", std::to_string(i)}};
+      stripes_[i].obs_appends = obs.metrics->GetGauge("storage.stripe_appends", labels);
+      stripes_[i].obs_syncs = obs.metrics->GetGauge("storage.stripe_syncs", labels);
+      stripes_[i].obs_segments = obs.metrics->GetGauge("storage.stripe_segments", labels);
+      stripes_[i].obs_bytes = obs.metrics->GetGauge("storage.stripe_bytes", labels);
     }
+    obs_imbalance_ = obs.metrics->GetGauge("storage.stripe_imbalance");
+    UpdateStripeGauges();
   } else {
     obs_appends_ = nullptr;
     obs_bytes_appended_ = nullptr;
@@ -178,52 +161,38 @@ Result<std::unique_ptr<Wal>> Wal::Open(WalOptions options) {
 }
 
 Status Wal::OpenDirectory() {
-  std::error_code ec;
-  fs::create_directories(options_.dir, ec);
-  if (ec) {
-    return Status(StatusCode::kInternal,
-                  "cannot create " + options_.dir + ": " + ec.message());
-  }
-  const size_t count = striped_layout_ ? options_.stripes : 1;
-  stripes_.resize(count);
-  for (size_t i = 0; i < count; ++i) {
+  stripes_.resize(options_.stripes);
+  for (size_t i = 0; i < stripes_.size(); ++i) {
     Stripe& stripe = stripes_[i];
-    stripe.dir = striped_layout_ ? StripePath(options_.dir, i) : options_.dir;
+    stripe.dir = StripePath(options_.dir, i);
     stripe.batch_limit =
         options_.adaptive.enabled
             ? std::clamp(options_.group_commit_records, options_.adaptive.min_records,
                          options_.adaptive.max_records)
             : options_.group_commit_records;
-    if (striped_layout_) {
-      fs::create_directories(stripe.dir, ec);
-      if (ec) {
-        return Status(StatusCode::kInternal,
-                      "cannot create " + stripe.dir + ": " + ec.message());
-      }
+    std::error_code ec;
+    fs::create_directories(stripe.dir, ec);
+    if (ec) {
+      return Status(StatusCode::kInternal, "cannot create " + stripe.dir + ": " + ec.message());
     }
     Status status = OpenStripe(stripe);
     if (!status.ok()) {
       return status;
     }
   }
-  if (striped_layout_) {
-    // Adopt legacy single-chain segments (from a directory written before
-    // striping was configured) into stripe 0: they count toward the
-    // compaction baseline and are deleted by the next compaction; recovery
-    // replays them before every LSN-framed record.
-    auto legacy = ListSegmentPaths(options_.dir);
-    if (legacy.ok()) {
-      for (const std::string& path : *legacy) {
-        auto scan = ScanSegment(path);
-        if (!scan.ok()) {
-          PUB_LOG_ERROR("wal: ignoring unreadable legacy segment %s", path.c_str());
-          continue;
-        }
-        SealedSegment sealed;
-        sealed.seq = scan->seq;
-        sealed.path = path;
-        sealed.bytes = scan->valid_bytes + scan->dropped_bytes;
-        stripes_[0].sealed.push_back(std::move(sealed));
+  // A log written with more stripes: recovery merges every stripe directory,
+  // so the extra stripes' LSNs must stay behind every new append, and their
+  // segments join stripe 0's sealed chain for the next compaction to retire.
+  std::error_code ec;
+  if (fs::exists(StripePath(options_.dir, stripes_.size()), ec)) {
+    auto stripe_dirs = ListStripePaths(options_.dir);
+    if (!stripe_dirs.ok()) {
+      return stripe_dirs.status();
+    }
+    for (size_t i = stripes_.size(); i < stripe_dirs->size(); ++i) {
+      auto adopted = AdoptSegments((*stripe_dirs)[i], stripes_[0].sealed);
+      if (!adopted.ok()) {
+        return adopted.status();
       }
     }
   }
@@ -231,37 +200,37 @@ Status Wal::OpenDirectory() {
   return Status::Ok();
 }
 
-Status Wal::OpenStripe(Stripe& stripe) {
-  auto existing = ListSegmentPaths(stripe.dir);
-  if (!existing.ok()) {
-    return existing.status();
+Result<uint64_t> Wal::AdoptSegments(const std::string& dir,
+                                    std::vector<SealedSegment>& sealed) {
+  auto paths = ListSegmentPaths(dir);
+  if (!paths.ok()) {
+    return paths.status();
   }
-  for (const std::string& path : *existing) {
+  uint64_t highest_seq = 0;
+  for (const std::string& path : *paths) {
     // The scan is cheap relative to recovery and carries the authoritative
-    // sequence — and, for v2 segments, the highest durable LSN.
+    // sequence and the highest durable LSN.
     auto scan = ScanSegment(path);
     if (!scan.ok()) {
       PUB_LOG_ERROR("wal: ignoring unreadable segment %s", path.c_str());
       continue;
     }
-    SealedSegment sealed;
-    sealed.seq = scan->seq;
-    sealed.path = path;
-    sealed.bytes = scan->valid_bytes + scan->dropped_bytes;
-    stripe.next_seq = std::max(stripe.next_seq, scan->seq + 1);
-    if (scan->version == kSegmentFormatVersionLsn) {
-      for (const Bytes& payload : scan->records) {
-        next_lsn_ = std::max(next_lsn_, LsnOf(payload) + 1);
-      }
+    for (const LsnRecord& entry : scan->records) {
+      next_lsn_ = std::max(next_lsn_, entry.lsn + 1);
     }
-    stripe.sealed.push_back(std::move(sealed));
+    highest_seq = std::max(highest_seq, scan->seq);
+    sealed.push_back({scan->seq, path, scan->valid_bytes + scan->dropped_bytes});
   }
-  std::sort(stripe.sealed.begin(), stripe.sealed.end(),
-            [](const SealedSegment& a, const SealedSegment& b) { return a.seq < b.seq; });
-  const uint32_t version =
-      striped_layout_ ? kSegmentFormatVersionLsn : kSegmentFormatVersion;
-  Status status =
-      stripe.active.Open(SegmentPath(stripe.dir, stripe.next_seq), stripe.next_seq, version);
+  return highest_seq;
+}
+
+Status Wal::OpenStripe(Stripe& stripe) {
+  auto highest_seq = AdoptSegments(stripe.dir, stripe.sealed);
+  if (!highest_seq.ok()) {
+    return highest_seq.status();
+  }
+  stripe.next_seq = *highest_seq + 1;
+  Status status = stripe.active.Open(SegmentPath(stripe.dir, stripe.next_seq), stripe.next_seq);
   if (!status.ok()) {
     return status;
   }
@@ -322,10 +291,7 @@ Status Wal::RollSegment(Stripe& stripe) {
   sealed.bytes = stripe.active.bytes();
   stripe.active.Close();
   stripe.sealed.push_back(std::move(sealed));
-  const uint32_t version =
-      striped_layout_ ? kSegmentFormatVersionLsn : kSegmentFormatVersion;
-  status =
-      stripe.active.Open(SegmentPath(stripe.dir, stripe.next_seq), stripe.next_seq, version);
+  status = stripe.active.Open(SegmentPath(stripe.dir, stripe.next_seq), stripe.next_seq);
   if (!status.ok()) {
     return status;
   }
@@ -339,8 +305,7 @@ Status Wal::RollSegment(Stripe& stripe) {
 }
 
 Status Wal::AppendToStripe(Stripe& stripe, uint64_t lsn, std::span<const uint8_t> record) {
-  const size_t frame_bytes =
-      kRecordFrameOverhead + (striped_layout_ ? kLsnPrefixBytes : 0) + record.size();
+  const size_t frame_bytes = kRecordFrameOverhead + kLsnPrefixBytes + record.size();
   if (stripe.active.bytes() + frame_bytes > options_.segment_bytes &&
       stripe.active.bytes() > kSegmentHeaderBytes) {
     Status status = RollSegment(stripe);
@@ -348,8 +313,7 @@ Status Wal::AppendToStripe(Stripe& stripe, uint64_t lsn, std::span<const uint8_t
       return status;
     }
   }
-  Status status = striped_layout_ ? stripe.active.AppendWithLsn(lsn, record)
-                                  : stripe.active.Append(record);
+  Status status = stripe.active.Append(lsn, record);
   if (!status.ok()) {
     return status;
   }
@@ -358,7 +322,7 @@ Status Wal::AppendToStripe(Stripe& stripe, uint64_t lsn, std::span<const uint8_t
 }
 
 size_t Wal::RouteStripe(std::span<const uint8_t> record) const {
-  if (!striped_layout_ || stripes_.size() == 1) {
+  if (stripes_.size() == 1) {
     return 0;
   }
   return static_cast<size_t>(StorageJournal::RouteKey(record) % stripes_.size());
@@ -367,7 +331,7 @@ size_t Wal::RouteStripe(std::span<const uint8_t> record) const {
 Status Wal::Append(std::span<const uint8_t> record, uint64_t now) {
   last_now_ = now;
   Stripe& stripe = stripes_[RouteStripe(record)];
-  Status status = AppendToStripe(stripe, striped_layout_ ? next_lsn_++ : 0, record);
+  Status status = AppendToStripe(stripe, next_lsn_++, record);
   if (!status.ok()) {
     return status;
   }
@@ -451,9 +415,7 @@ Status Wal::SyncStripe(Stripe& stripe, uint64_t now, bool force) {
   if (obs_commit_queue_ != nullptr) {
     obs_commit_queue_->Set(static_cast<double>(PendingRecords()));
   }
-  if (striped_layout_) {
-    UpdateStripeGauges();
-  }
+  UpdateStripeGauges();
   if (tracer_ != nullptr && batch > 0) {
     // The group-commit window: first staged record to the fsync that made
     // the batch durable.
@@ -517,13 +479,13 @@ void Wal::OnCheckpointStored() {
     if (options_.concurrent_compaction) {
       (void)StartCompaction();  // Publishes continue; slices ride the windows.
     } else {
-      (void)CompactNow();
+      (void)CompactNow();  // Drained: durable before the checkpoint returns.
     }
   }
 }
 
 bool Wal::StartCompaction() {
-  if (!striped_layout_ || !snapshot_source_ || compaction_ != nullptr) {
+  if (!snapshot_source_ || compaction_ != nullptr) {
     return false;
   }
   auto state = std::make_unique<CompactionState>();
@@ -646,9 +608,7 @@ void Wal::FinishCompaction(uint64_t now) {
     obs_compactions_->Add(1);
     obs_wal_bytes_->Set(static_cast<double>(after));
   }
-  if (striped_layout_) {
-    UpdateStripeGauges();
-  }
+  UpdateStripeGauges();
   if (tracer_ != nullptr) {
     tracer_->Instant("storage.compaction", "storage", obs_track::kStorage,
                      {{"bytes_before", std::to_string(bytes_before)},
@@ -657,87 +617,11 @@ void Wal::FinishCompaction(uint64_t now) {
 }
 
 bool Wal::CompactNow() {
-  if (!snapshot_source_) {
-    return false;
-  }
-  if (!striped_layout_) {
-    return CompactNowBlocking();
-  }
   if (compaction_ == nullptr && !StartCompaction()) {
     return false;
   }
   while (compaction_ != nullptr) {
     PumpCompaction(last_now_, /*paced=*/false);
-  }
-  return true;
-}
-
-bool Wal::CompactNowBlocking() {
-  Stripe& stripe = stripes_[0];
-  const size_t before = TotalBytes();
-  // Seal the active segment: the snapshot must strictly supersede every
-  // record written so far, and recovery orders segments by sequence, so the
-  // snapshot takes a sequence past the active one and new appends continue
-  // in a segment past the snapshot.
-  Status status = SyncStripe(stripe, last_now_, /*force=*/true);
-  if (!status.ok()) {
-    PUB_LOG_ERROR("wal: compaction sync failed: %s", status.ToString().c_str());
-    return false;
-  }
-  SealedSegment old_active;
-  old_active.seq = stripe.active.seq();
-  old_active.path = stripe.active.path();
-  old_active.bytes = stripe.active.bytes();
-  stripe.active.Close();
-  stripe.sealed.push_back(std::move(old_active));
-
-  std::vector<Bytes> records = snapshot_source_();
-  const uint64_t snapshot_seq = stripe.next_seq++;
-  auto result = compactor_.WriteSnapshotSegment(SegmentPath(stripe.dir, snapshot_seq),
-                                                snapshot_seq, records);
-  if (!result.ok()) {
-    // Fall through to reopen an active segment; the log is intact, only
-    // unrewritten.
-    PUB_LOG_ERROR("wal: snapshot write failed: %s", result.status().ToString().c_str());
-  } else {
-    // The snapshot is durable: everything before it is dead.
-    std::error_code ec;
-    for (const SealedSegment& sealed : stripe.sealed) {
-      fs::remove(sealed.path, ec);
-      ++stripe.stats.compaction_segments_deleted;
-      ++stats_.compaction_segments_deleted;
-    }
-    stripe.sealed.clear();
-    SealedSegment snapshot;
-    snapshot.seq = result->segment_seq;
-    snapshot.path = result->segment_path;
-    snapshot.bytes = result->bytes_written;
-    stripe.sealed.push_back(std::move(snapshot));
-    ++stats_.compactions;
-  }
-
-  status = stripe.active.Open(SegmentPath(stripe.dir, stripe.next_seq), stripe.next_seq);
-  if (!status.ok()) {
-    PUB_LOG_ERROR("wal: cannot reopen active segment: %s", status.ToString().c_str());
-    return false;
-  }
-  ++stripe.next_seq;
-  ++stripe.stats.segments_created;
-  ++stats_.segments_created;
-  if (!result.ok()) {
-    return false;
-  }
-  const size_t after = TotalBytes();
-  stats_.compaction_bytes_reclaimed += before > after ? before - after : 0;
-  baseline_bytes_ = std::max(after, options_.compactor.min_bytes);
-  if (obs_compactions_ != nullptr) {
-    obs_compactions_->Add(1);
-    obs_wal_bytes_->Set(static_cast<double>(after));
-  }
-  if (tracer_ != nullptr) {
-    tracer_->Instant("storage.compaction", "storage", obs_track::kStorage,
-                     {{"bytes_before", std::to_string(before)},
-                      {"bytes_after", std::to_string(after)}});
   }
   return true;
 }

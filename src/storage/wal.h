@@ -1,21 +1,19 @@
 // Segmented write-ahead log with group commit: the durable StorageBackend.
 //
-// Single-chain layout (stripes == 1, no concurrent compaction — the v1
-// format): a directory of segment files "wal-<seq>.seg" (format in
-// log_segment.h).  Records append to the active (highest-seq) segment; when
-// it exceeds `segment_bytes` the WAL rolls to a new one.  Opening an
-// existing directory never appends to old segments — it starts a fresh one
-// after the highest sequence found, so a torn tail from a previous crash
-// stays confined to a dead segment where recovery can drop it.
-//
-// Striped layout (stripes > 1 or concurrent_compaction — the v2 format):
-// the directory holds one subdirectory per simulated disk ("stripe-<n>/"),
-// each with its own segment chain, group-commit window, and torn tail.
-// Records route to a stripe by StorageJournal::RouteKey (process hash), so
-// everything touching one process log shares a stripe and a torn tail is a
-// per-process suffix.  Every v2 record carries an 8-byte global LSN prefix;
-// recovery merges the chains by LSN back into the exact single-log order, so
-// `ReplayCursor` order and the StorageJournal rebuild are unchanged.
+// Layout: the directory holds one subdirectory per simulated disk
+// ("stripe-<n>/", `stripes` of them, one by default), each with its own
+// chain of segment files "wal-<seq>.seg" (format in log_segment.h), group-
+// commit window and torn tail.  Records route to a stripe by
+// StorageJournal::RouteKey (process hash), so everything touching one
+// process log shares a stripe and a torn tail is a per-process suffix.
+// Every record carries an 8-byte global LSN; recovery merges the chains by
+// LSN back into the exact journal order, so `ReplayCursor` order and the
+// StorageJournal rebuild do not depend on the stripe count.  A stripe's
+// records append to its active (highest-seq) segment, which rolls past
+// `segment_bytes`.  Opening an existing directory never appends to old
+// segments — each stripe starts a fresh one after its highest sequence, so
+// a torn tail from a previous crash stays confined to a dead segment where
+// recovery can drop it.
 //
 // Group commit (§5.2.2's motivation — publish cost must not be per-message):
 // Append() stages the record and only fsyncs once the stripe's batch limit
@@ -26,13 +24,14 @@
 // doubles the limit, a window closed by time or by the ack-latency target
 // halves it, always inside [min_records, max_records].
 //
-// Compaction: checkpoint-triggered (see compactor.h).  Blocking mode
-// rewrites the live image into one snapshot segment before returning.
-// Concurrent mode (v2) reserves a contiguous LSN block for the captured
-// image and re-journals it stripe-by-stripe in bounded slices between commit
-// windows, so the publish path never stalls behind a full-image rewrite; old
-// segments are deleted only after the whole block is durable.  A crash mid
-// rewrite leaves an incomplete block that recovery ignores.
+// Compaction: checkpoint-triggered (growth policy in compactor.h).  It
+// reserves a contiguous LSN block for the captured live image and
+// re-journals the image stripe by stripe in bounded slices; old segments
+// are deleted only after the whole block is durable, and a crash mid
+// rewrite leaves an incomplete block that recovery ignores.  By default the
+// rewrite is drained: CompactNow returns once every slice is durable.  With
+// `concurrent_compaction` it is paced: the slices ride between commit
+// windows, so the publish path never stalls behind a full-image rewrite.
 
 #ifndef SRC_STORAGE_WAL_H_
 #define SRC_STORAGE_WAL_H_
@@ -86,10 +85,10 @@ struct WalOptions {
   // whose work arrives as messages.
   uint64_t group_commit_interval = 0;
   CompactorOptions compactor;
-  // Number of simulated disks.  >1 selects the striped v2 layout.
+  // Number of simulated disks, one stripe directory each.
   size_t stripes = 1;
-  // Re-journal the live image in slices between commit windows instead of
-  // blocking in CompactNow (forces the v2 layout).
+  // Pace a checkpoint-triggered compaction's slices between commit windows
+  // instead of draining them before the checkpoint returns.
   bool concurrent_compaction = false;
   AdaptiveCommitOptions adaptive;
   WalDiskModel disk;
@@ -108,10 +107,11 @@ struct WalStats {
 class Wal : public StorageBackend {
  public:
   // Opens (creating if needed) the log directory.  Existing segments are
-  // preserved and counted toward the compaction baseline; appends go to a
-  // new segment after the highest existing sequence.  Opening an old
-  // single-chain directory with a striped configuration adopts the legacy
-  // segments into stripe 0 (recovery still replays them first).
+  // preserved and counted toward the compaction baseline; each stripe
+  // appends to a new segment after its highest existing sequence, and new
+  // LSNs follow every durable one.  Stripes past `stripes` (a log written
+  // with more of them) are adopted into stripe 0's sealed chain, so the next
+  // compaction retires them.
   static Result<std::unique_ptr<Wal>> Open(WalOptions options);
   ~Wal() override;
 
@@ -145,16 +145,14 @@ class Wal : public StorageBackend {
   // Staged-to-durable latency of each commit window (virtual ms, disk model).
   const StatAccumulator& stripe_ack_ms(size_t i) const { return stripes_[i].ack_ms; }
 
-  // Forces a compaction attempt regardless of the growth policy (still a
-  // no-op without a snapshot source).  In concurrent mode this starts the
-  // rewrite and drains it to completion before returning — tests and
-  // shutdown paths get the blocking contract either way.  Returns true if a
-  // rewrite happened.
+  // Forces a compaction regardless of the growth policy (still a no-op
+  // without a snapshot source): starts the rewrite, or takes over the one in
+  // flight, and drains it to completion before returning.  Returns true if
+  // a rewrite happened.
   bool CompactNow();
-  // Concurrent mode: capture the live image and reserve its LSN block, then
-  // return immediately; slices are re-journaled by Append/Tick/Sync.
-  // Returns false if already compacting, not in concurrent mode, or no
-  // snapshot source is attached.
+  // Captures the live image and reserves its LSN block, then returns at
+  // once; the slices are re-journaled by Append and Tick.  Returns false if
+  // already compacting or no snapshot source is attached.
   bool StartCompaction();
   bool CompactionInProgress() const { return compaction_ != nullptr; }
 
@@ -204,25 +202,25 @@ class Wal : public StorageBackend {
 
   Status OpenDirectory();
   Status OpenStripe(Stripe& stripe);
+  // Adds the segments in `dir` to `sealed` and raises next_lsn_ past their
+  // LSNs.  Returns the highest segment sequence found (0 for none).
+  Result<uint64_t> AdoptSegments(const std::string& dir, std::vector<SealedSegment>& sealed);
   Status RollSegment(Stripe& stripe);
-  // Frames `record` into the stripe's active segment, rolling it first if
-  // the frame would overflow it.  The striped (v2) layout prefixes `lsn`
-  // inside the frame; the single-chain (v1) layout ignores it.
+  // Frames `lsn` ‖ `record` into the stripe's active segment, rolling it
+  // first if the frame would overflow it.
   Status AppendToStripe(Stripe& stripe, uint64_t lsn, std::span<const uint8_t> record);
   // force: fsync staged bytes even when no group-commit window is pending
   // (compaction slices stage bytes without opening a window).
   Status SyncStripe(Stripe& stripe, uint64_t now, bool force = false);
   size_t RouteStripe(std::span<const uint8_t> record) const;
   void PumpCompaction(uint64_t now, bool paced = true);
-  bool CompactNowBlocking();
   void FinishCompaction(uint64_t now);
   void UpdateStripeGauges();
 
   WalOptions options_;
-  bool striped_layout_ = false;      // v2: LSN-framed records, stripe dirs.
   Compactor compactor_;
   std::vector<Stripe> stripes_;
-  uint64_t next_lsn_ = 1;            // v2 only; global across stripes.
+  uint64_t next_lsn_ = 1;            // Global across stripes.
   uint64_t last_now_ = 0;            // Most recent clock reading seen.
   size_t baseline_bytes_ = 0;        // Size after open / last compaction.
   std::function<std::vector<Bytes>()> snapshot_source_;
@@ -249,8 +247,7 @@ std::string StripePath(const std::string& dir, size_t index);
 
 // Lists segment files in `dir`, sorted by sequence number.
 Result<std::vector<std::string>> ListSegmentPaths(const std::string& dir);
-// Lists stripe subdirectories in `dir`, sorted by index (empty for a
-// single-chain v1 directory).
+// Lists stripe subdirectories in `dir`, sorted by index.
 Result<std::vector<std::string>> ListStripePaths(const std::string& dir);
 
 }  // namespace publishing

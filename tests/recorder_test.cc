@@ -43,7 +43,7 @@ TEST(Recorder, LogsGuaranteedDataFrames) {
   EXPECT_TRUE(f.recorder.OnWireFrame(f.DataFrame(1, 1)));
   EXPECT_TRUE(f.recorder.OnWireFrame(f.DataFrame(1, 2)));
   EXPECT_EQ(f.recorder.stats().messages_published, 2u);
-  EXPECT_EQ(f.storage.ReplayList(ProcessId{NodeId{2}, 9}).size(), 2u);
+  EXPECT_EQ(f.storage.Replay(ProcessId{NodeId{2}, 9}).size(), 2u);
   EXPECT_EQ(f.storage.LastSent(ProcessId{NodeId{1}, 9}), 2u);
 }
 
@@ -51,7 +51,7 @@ TEST(Recorder, UnguaranteedFramesAreNotLogged) {
   RecorderFixture f;
   EXPECT_TRUE(f.recorder.OnWireFrame(f.DataFrame(1, 1, /*flags=*/0)));
   EXPECT_EQ(f.recorder.stats().messages_published, 0u);
-  EXPECT_TRUE(f.storage.ReplayList(ProcessId{NodeId{2}, 9}).empty());
+  EXPECT_TRUE(f.storage.Replay(ProcessId{NodeId{2}, 9}).empty());
   // But the sender watermark still advanced (restart floors need it).
   EXPECT_EQ(f.storage.LastSent(ProcessId{NodeId{1}, 9}), 1u);
 }
@@ -141,7 +141,7 @@ TEST(Recorder, RetransmittedFrameLoggedOnce) {
   Frame frame = f.DataFrame(1, 1);
   EXPECT_TRUE(f.recorder.OnWireFrame(frame));
   EXPECT_TRUE(f.recorder.OnWireFrame(frame));  // Lost-ack retransmission.
-  EXPECT_EQ(f.storage.ReplayList(ProcessId{NodeId{2}, 9}).size(), 1u);
+  EXPECT_EQ(f.storage.Replay(ProcessId{NodeId{2}, 9}).size(), 1u);
 }
 
 }  // namespace

@@ -30,8 +30,8 @@ TEST(SelectivePublishing, NonRecoverableTrafficIsNotStored) {
   const auto* p =
       dynamic_cast<const PingerProgram*>(system.cluster().kernel(NodeId{1})->ProgramFor(*pinger));
   ASSERT_EQ(p->received(), 20u) << "traffic itself flows normally";
-  EXPECT_TRUE(system.storage().ReplayList(*echo).empty());
-  EXPECT_TRUE(system.storage().ReplayList(*pinger).empty());
+  EXPECT_TRUE(system.storage().Replay(*echo).empty());
+  EXPECT_TRUE(system.storage().Replay(*pinger).empty());
   EXPECT_EQ(system.storage().messages_stored(), 0u);
 }
 

@@ -37,7 +37,7 @@ TEST(StableStorage, MessagesAppendAndReplayInArrivalOrder) {
   for (uint64_t i = 1; i <= 5; ++i) {
     storage.AppendMessage(pid, Mid(sender, i), Bytes{static_cast<uint8_t>(i)});
   }
-  auto replay = storage.ReplayList(pid);
+  auto replay = storage.Replay(pid);
   ASSERT_EQ(replay.size(), 5u);
   for (uint64_t i = 0; i < 5; ++i) {
     EXPECT_EQ(replay[i].id.sequence, i + 1);
@@ -56,7 +56,7 @@ TEST(StableStorage, ReadOrderOverridesArrivalOrderInReplay) {
   storage.RecordRead(pid, Mid(sender, 3));
   storage.RecordRead(pid, Mid(sender, 4));
 
-  auto replay = storage.ReplayList(pid);
+  auto replay = storage.Replay(pid);
   ASSERT_EQ(replay.size(), 4u);
   EXPECT_EQ(replay[0].id.sequence, 3u);  // Read entries first, in read order.
   EXPECT_EQ(replay[1].id.sequence, 4u);
@@ -70,7 +70,7 @@ TEST(StableStorage, DuplicateAppendsAreIgnored) {
   storage.RecordCreation(pid, "prog", {}, NodeId{1});
   storage.AppendMessage(pid, Mid(Pid(1, 3), 1), Bytes{1});
   storage.AppendMessage(pid, Mid(Pid(1, 3), 1), Bytes{1});  // Retransmission.
-  EXPECT_EQ(storage.ReplayList(pid).size(), 1u);
+  EXPECT_EQ(storage.Replay(pid).size(), 1u);
 }
 
 TEST(StableStorage, ReplayedReReadsDoNotCorruptReadOrder) {
@@ -84,7 +84,7 @@ TEST(StableStorage, ReplayedReReadsDoNotCorruptReadOrder) {
   // During recovery the process re-reads both; order must not change.
   storage.RecordRead(pid, Mid(Pid(1, 3), 2));
   storage.RecordRead(pid, Mid(Pid(1, 3), 1));
-  auto replay = storage.ReplayList(pid);
+  auto replay = storage.Replay(pid);
   ASSERT_EQ(replay.size(), 2u);
   EXPECT_EQ(replay[0].id.sequence, 1u);
   EXPECT_EQ(replay[1].id.sequence, 2u);
@@ -105,7 +105,7 @@ TEST(StableStorage, CheckpointDiscardsSubsumedMessagesOnly) {
   }
   storage.StoreCheckpoint(pid, Bytes(100, 0xCC), /*reads_done=*/3);
 
-  auto replay = storage.ReplayList(pid);
+  auto replay = storage.Replay(pid);
   ASSERT_EQ(replay.size(), 3u) << "messages 1..3 subsumed; 4 (read), 5, 6 retained";
   EXPECT_EQ(replay[0].id.sequence, 4u);
   EXPECT_EQ(replay[1].id.sequence, 5u);
@@ -178,7 +178,7 @@ TEST(StableStorage, DestroyedProcessAcceptsNoMoreMessages) {
   storage.RecordCreation(Pid(1, 2), "a", {}, NodeId{1});
   storage.RecordDestruction(Pid(1, 2));
   storage.AppendMessage(Pid(1, 2), Mid(Pid(1, 3), 1), Bytes{1});
-  EXPECT_TRUE(storage.ReplayList(Pid(1, 2)).empty());
+  EXPECT_TRUE(storage.Replay(Pid(1, 2)).empty());
 }
 
 }  // namespace

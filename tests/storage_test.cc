@@ -89,9 +89,13 @@ TEST(LogSegment, TruncatedFrameIsTorn) {
 TEST(LogSegment, HeaderRoundTrip) {
   Bytes header = EncodeSegmentHeader(42);
   ASSERT_EQ(header.size(), kSegmentHeaderBytes);
+  EXPECT_EQ(header[kSegmentMagicBytes], 2u) << "the LSN-framed format is version 2";
   auto seq = DecodeSegmentHeader(header);
   ASSERT_TRUE(seq.ok());
   EXPECT_EQ(*seq, 42u);
+  Bytes other_version = header;
+  other_version[kSegmentMagicBytes] = 1;
+  EXPECT_FALSE(DecodeSegmentHeader(other_version).ok()) << "one format version";
   header[0] ^= 0xff;
   EXPECT_FALSE(DecodeSegmentHeader(header).ok());
 }
@@ -110,7 +114,7 @@ TEST(LogSegment, WriteScanRoundTrip) {
     for (int i = 0; i < 10; ++i) {
       payloads.push_back(MakePayload(16 + static_cast<size_t>(i) * 13,
                                      static_cast<uint8_t>(i)));
-      ASSERT_TRUE(writer.Append(payloads.back()).ok());
+      ASSERT_TRUE(writer.Append(100 + static_cast<uint64_t>(i), payloads.back()).ok());
     }
     ASSERT_TRUE(writer.Sync().ok());
   }
@@ -120,9 +124,11 @@ TEST(LogSegment, WriteScanRoundTrip) {
   EXPECT_TRUE(scan->clean);
   EXPECT_EQ(scan->tail, FrameParse::kEnd);
   EXPECT_EQ(scan->dropped_bytes, 0u);
+  EXPECT_EQ(scan->short_records, 0u);
   ASSERT_EQ(scan->records.size(), payloads.size());
   for (size_t i = 0; i < payloads.size(); ++i) {
-    EXPECT_EQ(scan->records[i], payloads[i]);
+    EXPECT_EQ(scan->records[i].lsn, 100 + i);
+    EXPECT_EQ(scan->records[i].record, payloads[i]);
   }
 }
 
@@ -141,7 +147,7 @@ TEST(LogSegment, TruncateAtEveryByteOffsetDropsOnlyTornTail) {
       payloads.push_back(MakePayload(24 + static_cast<size_t>(i) * 7,
                                      static_cast<uint8_t>(0x40 + i)));
       last_frame_start = writer.bytes();
-      ASSERT_TRUE(writer.Append(payloads.back()).ok());
+      ASSERT_TRUE(writer.Append(1 + static_cast<uint64_t>(i), payloads.back()).ok());
     }
     ASSERT_TRUE(writer.Sync().ok());
   }
@@ -156,7 +162,7 @@ TEST(LogSegment, TruncateAtEveryByteOffsetDropsOnlyTornTail) {
     ASSERT_TRUE(scan.ok()) << "cut at " << cut;
     ASSERT_EQ(scan->records.size(), payloads.size() - 1) << "cut at " << cut;
     for (size_t i = 0; i + 1 < payloads.size(); ++i) {
-      EXPECT_EQ(scan->records[i], payloads[i]) << "cut at " << cut;
+      EXPECT_EQ(scan->records[i].record, payloads[i]) << "cut at " << cut;
     }
     if (cut == last_frame_start) {
       // Truncation exactly on the frame boundary looks like a clean end.
@@ -217,7 +223,10 @@ TEST(Wal, RollsSegmentsAndReopenStartsFresh) {
   options.dir = TestDir("wal_roll");
   options.segment_bytes = 256;
   options.group_commit_records = 1;
+  // A default log is one stripe: its chain lives under stripe-000/.
+  const std::string chain = StripePath(options.dir, 0);
   uint64_t highest_seq = 0;
+  uint64_t highest_lsn = 0;
   {
     auto wal = Wal::Open(options);
     ASSERT_TRUE(wal.ok());
@@ -225,26 +234,33 @@ TEST(Wal, RollsSegmentsAndReopenStartsFresh) {
       ASSERT_TRUE((*wal)->Append(MakePayload(100, static_cast<uint8_t>(i)), 0).ok());
     }
     EXPECT_GT((*wal)->SegmentCount(), 1u);
-    auto paths = ListSegmentPaths(options.dir);
+    auto paths = ListSegmentPaths(chain);
     ASSERT_TRUE(paths.ok());
+    ASSERT_FALSE(paths->empty());
     EXPECT_EQ(paths->size(), (*wal)->SegmentCount());
     auto last = ScanSegment(paths->back());
     ASSERT_TRUE(last.ok());
+    ASSERT_FALSE(last->records.empty());
     highest_seq = last->seq;
+    highest_lsn = last->records.back().lsn;
+    EXPECT_EQ(highest_lsn, 20u);
   }
   // Reopen: appends go to a NEW segment past the highest sequence; old
-  // segments (and any torn tails in them) are never appended to.
+  // segments (and any torn tails in them) are never appended to.  The LSN
+  // sequence continues where the old log stopped.
   auto wal = Wal::Open(options);
   ASSERT_TRUE(wal.ok());
   ASSERT_TRUE((*wal)->Append(MakePayload(10, 0xaa), 0).ok());
   ASSERT_TRUE((*wal)->Sync().ok());
-  auto paths = ListSegmentPaths(options.dir);
+  auto paths = ListSegmentPaths(chain);
   ASSERT_TRUE(paths.ok());
+  ASSERT_FALSE(paths->empty());
   auto last = ScanSegment(paths->back());
   ASSERT_TRUE(last.ok());
   EXPECT_GT(last->seq, highest_seq);
   ASSERT_EQ(last->records.size(), 1u);
-  EXPECT_EQ(last->records[0], MakePayload(10, 0xaa));
+  EXPECT_EQ(last->records[0].lsn, highest_lsn + 1);
+  EXPECT_EQ(last->records[0].record, MakePayload(10, 0xaa));
 }
 
 // ---------------------------------------------------------------------------
@@ -331,8 +347,8 @@ void ExpectEquivalent(const StableStorage& got, const StableStorage& want) {
     EXPECT_EQ(got_info->log_bytes, want_info->log_bytes);
     EXPECT_EQ(got_info->checkpoint_bytes, want_info->checkpoint_bytes);
     EXPECT_EQ(got_info->log_entries, want_info->log_entries);
-    auto got_replay = got.ReplayList(pid);
-    auto want_replay = want.ReplayList(pid);
+    auto got_replay = got.Replay(pid);
+    auto want_replay = want.Replay(pid);
     ASSERT_EQ(got_replay.size(), want_replay.size());
     for (size_t i = 0; i < want_replay.size(); ++i) {
       EXPECT_EQ(got_replay[i].id, want_replay[i].id);
@@ -423,7 +439,7 @@ TEST(RecoveredDb, TornTailDropsOnlyLastRecord) {
   wal->reset();
 
   // Tear the tail: chop bytes off the last (only) segment's final record.
-  auto paths = ListSegmentPaths(options.dir);
+  auto paths = ListSegmentPaths(StripePath(options.dir, 0));
   ASSERT_TRUE(paths.ok());
   ASSERT_FALSE(paths->empty());
   const std::string& last = paths->back();
@@ -435,7 +451,7 @@ TEST(RecoveredDb, TornTailDropsOnlyLastRecord) {
   EXPECT_EQ(report.torn_segments, 1u);
   EXPECT_GT(report.dropped_tail_bytes, 0u);
   // Everything but the torn append survived.
-  auto replay = recovered->ReplayList(b);
+  auto replay = recovered->Replay(b);
   ASSERT_EQ(replay.size(), 1u);
   EXPECT_EQ(replay[0].id, Mid(a, 1));
   EXPECT_TRUE(recovered->Knows(a));
@@ -443,8 +459,7 @@ TEST(RecoveredDb, TornTailDropsOnlyLastRecord) {
 
 // Segment writers hand frame header, LSN and record straight to stdio; the
 // files must still be byte for byte what the reference encoder builds:
-// EncodeSegmentHeader, then AppendRecordFrame(lsn ‖ record) per record in
-// the striped (v2) layout and AppendRecordFrame(record) in the v1 layout.
+// EncodeSegmentHeader, then AppendRecordFrame(lsn ‖ record) per record.
 TEST(Wal, SegmentBytesMatchReferenceEncoder) {
   auto read_file = [](const std::string& path) {
     std::ifstream in(path, std::ios::binary);
@@ -461,63 +476,38 @@ TEST(Wal, SegmentBytesMatchReferenceEncoder) {
   }
   records.push_back(StorageJournal::EncodeRestartNumber(3));
 
-  // v2: a 2-stripe WAL.  LSNs are global, from 1 in append order; each
-  // record lands on the stripe its route key picks.
-  WalOptions striped;
-  striped.dir = TestDir("wal_reference_v2");
-  striped.stripes = 2;
-  {
-    auto wal = Wal::Open(striped);
-    ASSERT_TRUE(wal.ok());
+  // LSNs are global, from 1 in append order; each record lands on the
+  // stripe its route key picks.
+  for (size_t stripes : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE(testing::Message() << stripes << " stripe(s)");
+    WalOptions options;
+    options.dir = TestDir("wal_reference_s" + std::to_string(stripes));
+    options.stripes = stripes;
+    {
+      auto wal = Wal::Open(options);
+      ASSERT_TRUE(wal.ok());
+      for (const Bytes& record : records) {
+        ASSERT_TRUE((*wal)->Append(record, 0).ok());
+      }
+      ASSERT_TRUE((*wal)->Sync().ok());
+    }
+    std::vector<Bytes> expected(stripes, EncodeSegmentHeader(1));
+    uint64_t lsn = 1;
     for (const Bytes& record : records) {
-      ASSERT_TRUE((*wal)->Append(record, 0).ok());
+      Bytes payload;
+      for (size_t i = 0; i < kLsnPrefixBytes; ++i) {
+        payload.push_back(static_cast<uint8_t>(lsn >> (8 * i)));
+      }
+      ++lsn;
+      payload.insert(payload.end(), record.begin(), record.end());
+      AppendRecordFrame(expected[StorageJournal::RouteKey(record) % stripes], payload);
     }
-    ASSERT_TRUE((*wal)->Sync().ok());
-  }
-  std::vector<Bytes> expected(2, EncodeSegmentHeader(1, kSegmentFormatVersionLsn));
-  uint64_t lsn = 1;
-  for (const Bytes& record : records) {
-    Bytes payload;
-    for (size_t i = 0; i < kLsnPrefixBytes; ++i) {
-      payload.push_back(static_cast<uint8_t>(lsn >> (8 * i)));
+    for (size_t stripe = 0; stripe < stripes; ++stripe) {
+      SCOPED_TRACE(testing::Message() << "stripe " << stripe);
+      EXPECT_GT(expected[stripe].size(), kSegmentHeaderBytes) << "every stripe gets records";
+      EXPECT_EQ(read_file(SegmentPath(StripePath(options.dir, stripe), 1)), expected[stripe]);
     }
-    ++lsn;
-    payload.insert(payload.end(), record.begin(), record.end());
-    AppendRecordFrame(expected[StorageJournal::RouteKey(record) % 2], payload);
   }
-  for (size_t stripe = 0; stripe < 2; ++stripe) {
-    SCOPED_TRACE(testing::Message() << "stripe " << stripe);
-    EXPECT_GT(expected[stripe].size(), kSegmentHeaderBytes) << "both stripes get records";
-    EXPECT_EQ(read_file(SegmentPath(StripePath(striped.dir, stripe), 1)), expected[stripe]);
-  }
-
-  // v1: a single-chain WAL and a compactor snapshot segment.
-  Bytes expected_v1 = EncodeSegmentHeader(1);
-  for (const Bytes& record : records) {
-    AppendRecordFrame(expected_v1, record);
-  }
-  WalOptions chain;
-  chain.dir = TestDir("wal_reference_v1");
-  {
-    auto wal = Wal::Open(chain);
-    ASSERT_TRUE(wal.ok());
-    for (const Bytes& record : records) {
-      ASSERT_TRUE((*wal)->Append(record, 0).ok());
-    }
-    ASSERT_TRUE((*wal)->Sync().ok());
-  }
-  EXPECT_EQ(read_file(SegmentPath(chain.dir, 1)), expected_v1);
-
-  const std::string snapshot_dir = TestDir("compactor_reference_v1");
-  Compactor compactor{CompactorOptions{}};
-  auto snapshot = compactor.WriteSnapshotSegment(SegmentPath(snapshot_dir, 7), 7, records);
-  ASSERT_TRUE(snapshot.ok());
-  Bytes expected_snapshot = EncodeSegmentHeader(7);
-  for (const Bytes& record : records) {
-    AppendRecordFrame(expected_snapshot, record);
-  }
-  EXPECT_EQ(read_file(snapshot->segment_path), expected_snapshot);
-  EXPECT_EQ(snapshot->bytes_written, expected_snapshot.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -562,13 +552,16 @@ TEST(Wal, CompactionRewritesLiveImageAndDeletesOldSegments) {
   drive(reference);
   drive(durable);
 
-  const size_t before_segments = wal->get()->SegmentCount();
-  ASSERT_GT(before_segments, 1u) << "history must span several segments";
+  const std::vector<std::string> before = wal->get()->SegmentPaths();
+  ASSERT_GT(before.size(), 1u) << "history must span several segments";
   ASSERT_TRUE(wal->get()->CompactNow());
   EXPECT_EQ(wal->get()->stats().compactions, 1u);
-  EXPECT_GT(wal->get()->stats().compaction_segments_deleted, 0u);
-  // Snapshot segment + fresh active segment.
-  EXPECT_EQ(wal->get()->SegmentCount(), 2u);
+  // Every segment written before the rewrite is superseded by the snapshot
+  // block and deleted.
+  for (const std::string& path : before) {
+    EXPECT_FALSE(fs::exists(path)) << path;
+  }
+  EXPECT_EQ(wal->get()->stats().compaction_segments_deleted, before.size());
 
   // Post-compaction appends land after the snapshot and must survive too.
   durable.AppendMessage(Pid(2, 200), Mid(Pid(1, 100), 51), MakePayload(80, 51));
@@ -696,18 +689,21 @@ TEST(RecoveredDb, DanglingSnapshotIsIgnored) {
   drive(reference);
   drive(durable);
   ASSERT_TRUE(durable.Flush().ok());
+  // LSNs run from 1, one per appended record.
+  uint64_t lsn = wal->get()->stats().records_appended + 1;
   wal->reset();
 
-  // Hand-write a snapshot segment with the end marker missing, as if the
-  // compactor died between the last record and the fsync barrier (the old
+  // Hand-write a snapshot block with the end marker missing, as if the
+  // compaction died between the last record and the fsync barrier (the old
   // segments are only deleted after the barrier, so they are still here).
+  // Its LSNs follow the log's, as a reserved block's would.
   std::vector<Bytes> snapshot = StorageJournal::SnapshotRecords(reference);
   ASSERT_GT(snapshot.size(), 2u);
   snapshot.resize(2);  // kSnapshotBegin + first process image, no end.
   SegmentWriter writer;
-  ASSERT_TRUE(writer.Open(SegmentPath(options.dir, 999), 999).ok());
+  ASSERT_TRUE(writer.Open(SegmentPath(StripePath(options.dir, 0), 999), 999).ok());
   for (const Bytes& record : snapshot) {
-    ASSERT_TRUE(writer.Append(record).ok());
+    ASSERT_TRUE(writer.Append(lsn++, record).ok());
   }
   ASSERT_TRUE(writer.Sync().ok());
   writer.Close();
@@ -725,17 +721,19 @@ TEST(RecoveredDb, DanglingSnapshotIsIgnored) {
 // fatal, and everything around them still applies.
 TEST(RecoveredDb, UndecodableRecordIsSkipped) {
   const std::string dir = TestDir("recover_badrecord");
+  const std::string chain = StripePath(dir, 0);
+  fs::create_directories(chain);
   SegmentWriter writer;
-  ASSERT_TRUE(writer.Open(SegmentPath(dir, 1), 1).ok());
+  ASSERT_TRUE(writer.Open(SegmentPath(chain, 1), 1).ok());
   Bytes good1 = StorageJournal::EncodeCreate(Pid(1, 100), "pinger", {}, NodeId{1}, true);
   Bytes garbage = {0xee, 0x01, 0x02};  // Unknown op.
   Bytes truncated = StorageJournal::EncodeDestroy(Pid(1, 100));
   truncated.resize(3);  // Valid op byte, torn body.
   Bytes good2 = StorageJournal::EncodeCreate(Pid(2, 200), "echo", {}, NodeId{2}, true);
-  ASSERT_TRUE(writer.Append(good1).ok());
-  ASSERT_TRUE(writer.Append(garbage).ok());
-  ASSERT_TRUE(writer.Append(truncated).ok());
-  ASSERT_TRUE(writer.Append(good2).ok());
+  ASSERT_TRUE(writer.Append(1, good1).ok());
+  ASSERT_TRUE(writer.Append(2, garbage).ok());
+  ASSERT_TRUE(writer.Append(3, truncated).ok());
+  ASSERT_TRUE(writer.Append(4, good2).ok());
   ASSERT_TRUE(writer.Sync().ok());
   writer.Close();
 

@@ -1,6 +1,6 @@
 // Striped-WAL recovery matrix: per-stripe torn tails, rebuild-from-disk with
-// the merged (LSN) read order, crash mid-concurrent-compaction, legacy
-// single-chain adoption, and adaptive group-commit bounds.
+// the merged (LSN) read order, crash mid-concurrent-compaction, reopening
+// with more or fewer stripes, and adaptive group-commit bounds.
 
 #include <gtest/gtest.h>
 
@@ -49,8 +49,8 @@ void ExpectEquivalent(const StableStorage& got, const StableStorage& want) {
   ASSERT_EQ(got.AllProcesses(), want.AllProcesses());
   for (const ProcessId& pid : want.AllProcesses()) {
     SCOPED_TRACE(ToString(pid));
-    auto got_replay = got.ReplayList(pid);
-    auto want_replay = want.ReplayList(pid);
+    auto got_replay = got.Replay(pid);
+    auto want_replay = want.Replay(pid);
     ASSERT_EQ(got_replay.size(), want_replay.size());
     for (size_t i = 0; i < want_replay.size(); ++i) {
       EXPECT_EQ(got_replay[i].id, want_replay[i].id);
@@ -162,8 +162,8 @@ TEST(StripedWal, TornTailIsConfinedToOneStripe) {
   EXPECT_GT(report.dropped_tail_bytes, 0u);
   // The victim lost exactly its unacked tail append; the witness lost
   // nothing — the loss is a per-process suffix, not a mid-stream hole.
-  EXPECT_EQ(recovered->ReplayList(victim).size(), 2u);
-  EXPECT_EQ(recovered->ReplayList(witness).size(), 3u);
+  EXPECT_EQ(recovered->Replay(victim).size(), 2u);
+  EXPECT_EQ(recovered->Replay(witness).size(), 3u);
 }
 
 TEST(StripedWal, ConcurrentCompactionPreservesMergedReplay) {
@@ -242,14 +242,14 @@ TEST(StripedWal, CrashMidConcurrentCompactionRecoversFromOldSegments) {
   ExpectEquivalent(*recovered, reference);
 }
 
-TEST(StripedWal, LegacySingleChainIsAdoptedAndReplayedFirst) {
-  const std::string dir = TestDir("adopt");
+TEST(StripedWal, ReopenWithMoreStripesContinuesTheLsnOrder) {
+  const std::string dir = TestDir("more_stripes");
   StableStorage reference;
   const ProcessId pid = Pid(1, 100);
   const ProcessId sender = Pid(9, 900);
   {
     WalOptions options;
-    options.dir = dir;  // v1 single chain.
+    options.dir = dir;  // A default log: one stripe.
     options.group_commit_records = 1;
     auto wal = Wal::Open(options);
     ASSERT_TRUE(wal.ok());
@@ -262,8 +262,9 @@ TEST(StripedWal, LegacySingleChainIsAdoptedAndReplayedFirst) {
     ASSERT_TRUE(durable.Flush().ok());
   }
   {
-    // Same directory reopened striped: recovery must see the v1 history
-    // first, then the LSN-framed continuation.
+    // Same directory reopened with four stripes: new records take LSNs past
+    // the one-stripe history, so recovery merges it first, then the
+    // continuation.
     auto pre = RecoverStableStorage(dir);
     ASSERT_TRUE(pre.ok());
     WalOptions options;
@@ -282,11 +283,77 @@ TEST(StripedWal, LegacySingleChainIsAdoptedAndReplayedFirst) {
   auto recovered = RecoverStableStorage(dir, &report);
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ(report.stripes_scanned, 4u);
-  auto replay = recovered->ReplayList(pid);
+  auto replay = recovered->Replay(pid);
   ASSERT_EQ(replay.size(), 2u);
   EXPECT_EQ(replay[0].id, Mid(sender, 1));
   EXPECT_EQ(replay[1].id, Mid(sender, 2));
   ExpectEquivalent(*recovered, reference);
+}
+
+// A log reopened with fewer stripes keeps the extra stripes' history: their
+// LSNs stay behind every new record, so a checkpoint written after the
+// reopen discards the messages it subsumes, and the next compaction retires
+// the extra stripes' segments.
+TEST(StripedWal, ReopenWithFewerStripesKeepsCheckpointedMessagesDiscarded) {
+  const std::string dir = TestDir("fewer_stripes");
+  const ProcessId sender = Pid(9, 900);
+  ProcessId pid = Pid(1, 100);
+  for (uint32_t local = 100; StripeOf(pid, 4) != 3; ++local) {
+    pid = Pid(1, local);
+  }
+  StableStorage reference;
+  reference.RecordCreation(pid, "echo", {}, NodeId{1});
+  {
+    WalOptions options;
+    options.dir = dir;
+    options.stripes = 4;
+    options.group_commit_records = 1;
+    auto wal = Wal::Open(options);
+    ASSERT_TRUE(wal.ok());
+    StableStorage durable;
+    durable.AttachBackend(wal->get());
+    durable.RecordCreation(pid, "echo", {}, NodeId{1});
+    for (uint64_t seq = 1; seq <= 20; ++seq) {
+      durable.AppendMessage(pid, Mid(sender, seq), MakePayload(24, 0x01));
+      reference.AppendMessage(pid, Mid(sender, seq), MakePayload(24, 0x01));
+    }
+    ASSERT_TRUE(durable.Flush().ok());
+    ASSERT_EQ(wal->get()->stripe_stats(3).records_appended, 21u);
+  }
+
+  auto pre = RecoverStableStorage(dir);
+  ASSERT_TRUE(pre.ok());
+  WalOptions options;
+  options.dir = dir;
+  options.stripes = 2;
+  options.group_commit_records = 1;
+  auto wal = Wal::Open(options);
+  ASSERT_TRUE(wal.ok());
+  StableStorage durable = std::move(*pre);
+  durable.AttachBackend(wal->get());
+  for (StableStorage* db : {&durable, &reference}) {
+    for (uint64_t seq = 1; seq <= 20; ++seq) {
+      db->RecordRead(pid, Mid(sender, seq));
+    }
+    db->StoreCheckpoint(pid, MakePayload(32, 0x22), /*reads_done=*/20);
+    db->AppendMessage(pid, Mid(sender, 21), MakePayload(24, 0x02));
+  }
+  ASSERT_TRUE(durable.Flush().ok());
+  ASSERT_EQ(reference.Replay(pid).size(), 1u);
+
+  auto rebuilt = RecoverStableStorage(dir);
+  ASSERT_TRUE(rebuilt.ok());
+  ExpectEquivalent(*rebuilt, reference);
+
+  // Compaction supersedes every adopted segment of the extra stripes.
+  ASSERT_TRUE(wal->get()->CompactNow());
+  auto leftover = ListSegmentPaths(StripePath(dir, 3));
+  ASSERT_TRUE(leftover.ok());
+  EXPECT_TRUE(leftover->empty());
+  wal->reset();
+  auto compacted = RecoverStableStorage(dir);
+  ASSERT_TRUE(compacted.ok());
+  ExpectEquivalent(*compacted, reference);
 }
 
 TEST(AdaptiveCommit, BatchLimitTracksArrivalRateWithinBounds) {
